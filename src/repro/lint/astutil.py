@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+
+def under_prefix(name: str, prefixes: Iterable[str]) -> bool:
+    """True when dotted ``name`` is one of ``prefixes`` or lies below one."""
+    return any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -67,17 +72,6 @@ def iter_comprehension_iters(tree: ast.AST) -> Iterator[Tuple[ast.AST, ast.AST]]
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             for generator in node.generators:
                 yield node, generator.iter
-
-
-def decorator_names(node: ast.AST) -> List[str]:
-    """Dotted names of a class/function's decorators (call parens stripped)."""
-    names: List[str] = []
-    for decorator in getattr(node, "decorator_list", []):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = dotted_name(target)
-        if name is not None:
-            names.append(name)
-    return names
 
 
 def dataclass_decorator(node: ast.ClassDef) -> Optional[ast.AST]:

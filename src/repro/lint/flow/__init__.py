@@ -4,8 +4,11 @@
 lint modules; `taint` runs a field-level Byzantine-taint dataflow over
 it; `effects` computes per-function effect summaries (suspension points,
 self-attribute reads/writes, tasks, locks, blocking calls) with
-transitive may-suspend/may-block closure.  The flow-based rules in
-`repro.lint.rules` sit on top of all three.
+transitive may-suspend/may-block closure; `persistence` computes ordered
+mutate/journal/send/file-write streams.  `project.Project` owns one lint
+pass's module selection and builds each analysis once for every
+flow-based rule in `repro.lint.rules`; `base` holds the body walker and
+the fixed-point closure the analyses share.
 """
 
 from repro.lint.flow.callgraph import (
@@ -33,13 +36,13 @@ from repro.lint.flow.taint import (
 # Imported last: persistence lazily reaches into the rules package (for
 # the safety-state ownership map), so every earlier flow symbol must be
 # bound before any re-entrant import of this package.
-from repro.lint.flow.callgraph import neighborhood_paths
 from repro.lint.flow.persistence import (
     FunctionPersistence,
     PersistenceEvent,
     PersistenceIndex,
     build_persistence,
 )
+from repro.lint.flow.project import Project
 
 __all__ = [
     "BLOCKING_CALLS",
@@ -53,6 +56,7 @@ __all__ = [
     "GUARD_METHODS",
     "PersistenceEvent",
     "PersistenceIndex",
+    "Project",
     "SINK_METHODS",
     "SinkHit",
     "Summary",
@@ -61,5 +65,4 @@ __all__ = [
     "build_effects",
     "build_persistence",
     "is_sanitizer_name",
-    "neighborhood_paths",
 ]

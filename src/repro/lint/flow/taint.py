@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lint.engine import ParsedModule
-from repro.lint.flow.callgraph import CallGraph, FunctionNode, build_call_graph
+from repro.lint.astutil import under_prefix
+from repro.lint.flow.base import Closure
+from repro.lint.flow.callgraph import CallGraph, FunctionNode
 
 __all__ = [
     "GUARD_METHODS",
@@ -125,43 +126,15 @@ class TaintEngine:
         #: (each is analyzed as its own root, so findings are not
         #: duplicated through the dispatch chain).
         self.sources = sources
-        self._summaries: Dict[str, Summary] = {}
-        self._in_progress: Set[str] = set()
-
-    @classmethod
-    def for_modules(
-        cls,
-        modules: Sequence[ParsedModule],
-        safety_fields: FrozenSet[str],
-        sources: FrozenSet[str],
-        graph: Optional[CallGraph] = None,
-    ) -> "TaintEngine":
-        project = [
-            m for m in modules if not m.is_test and m.module.startswith("repro")
-        ]
-        return cls(
-            graph if graph is not None else build_call_graph(project),
-            safety_fields,
-            sources,
-        )
+        self._summaries = Closure(self._analyze, Summary)
 
     def summary(self, qualname: str) -> Summary:
         """Memoized summary; optimistic (empty) on recursion cycles."""
-        cached = self._summaries.get(qualname)
-        if cached is not None:
-            return cached
-        if qualname in self._in_progress:
-            return Summary()
+        return self._summaries(qualname)
+
+    def _analyze(self, qualname: str) -> Summary:
         node = self.graph.function(qualname)
-        if node is None:
-            return Summary()
-        self._in_progress.add(qualname)
-        try:
-            computed = _FunctionAnalyzer(self, node).run()
-        finally:
-            self._in_progress.discard(qualname)
-        self._summaries[qualname] = computed
-        return computed
+        return Summary() if node is None else _FunctionAnalyzer(self, node).run()
 
 
 class _FunctionAnalyzer:
@@ -200,16 +173,9 @@ class _FunctionAnalyzer:
     # ------------------------------------------------------------------
     def effective(self, origins: Set[str]) -> FrozenSet[str]:
         """Origins not covered by any sanitized path prefix."""
-        out = set()
-        for origin in origins:
-            covered = False
-            for clean in self.sanitized:
-                if origin == clean or origin.startswith(clean + "."):
-                    covered = True
-                    break
-            if not covered:
-                out.add(origin)
-        return frozenset(out)
+        return frozenset(
+            origin for origin in origins if not under_prefix(origin, self.sanitized)
+        )
 
     def record_hit(self, node: ast.AST, sink: str, origins: FrozenSet[str],
                    via: Tuple[str, ...] = ()) -> None:

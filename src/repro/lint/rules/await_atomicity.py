@@ -23,10 +23,10 @@ Fix by re-reading after the await, swapping before suspending
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.lint.engine import Finding, ParsedModule, ProjectRule, register_rule
-from repro.lint.flow.effects import build_effects
+from repro.lint.engine import Finding, ProjectRule, register_rule
+from repro.lint.flow.project import Project
 from repro.lint.rules.scopes import in_runtime_scope
 
 
@@ -47,21 +47,15 @@ class AwaitAtomicityRule(ProjectRule):
         "supervisor or transport state mid-fallback."
     )
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        project = [
-            m
-            for m in modules
-            if not m.is_test and not m.skipped and m.module.startswith("repro")
-        ]
-        if not any(in_runtime_scope(m.module) for m in project):
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        if not any(in_runtime_scope(module) for module in project.paths):
             return
-        index = build_effects(project)
-        paths = {m.module: m.path for m in project}
+        index = project.effects
         for qualname in index.qualnames():
             fx = index.effects(qualname)
             if fx is None or not fx.is_async or not in_runtime_scope(fx.module):
                 continue
-            yield from self._scan(index, qualname, paths[fx.module])
+            yield from self._scan(index, qualname, project.paths[fx.module])
 
     def _scan(self, index, qualname: str, path: str) -> Iterator[Finding]:
         fresh: Dict[str, int] = {}  # attr -> line of the validating read

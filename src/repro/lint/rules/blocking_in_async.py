@@ -21,10 +21,10 @@ or carry an explicit per-line pragma.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
-from repro.lint.engine import Finding, ParsedModule, ProjectRule, register_rule
-from repro.lint.flow.effects import build_effects
+from repro.lint.engine import Finding, ProjectRule, register_rule
+from repro.lint.flow.project import Project
 from repro.lint.rules.scopes import in_runtime_scope
 
 #: Qualname prefixes whose blocking calls are deliberate durability
@@ -61,21 +61,15 @@ class BlockingInAsyncRule(ProjectRule):
         "path (and the tiny status/spec snapshots) are exempt."
     )
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        project = [
-            m
-            for m in modules
-            if not m.is_test and not m.skipped and m.module.startswith("repro")
-        ]
-        if not any(in_runtime_scope(m.module) for m in project):
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        if not any(in_runtime_scope(module) for module in project.paths):
             return
-        index = build_effects(project)
-        paths = {m.module: m.path for m in project}
+        index = project.effects
         for qualname in index.qualnames():
             fx = index.effects(qualname)
             if fx is None or not fx.is_async or not in_runtime_scope(fx.module):
                 continue
-            path = paths[fx.module]
+            path = project.paths[fx.module]
             for line, name in sorted(set(fx.blocking_calls)):
                 if name == "time.sleep":
                     continue  # asyncio-hygiene owns the lexical case

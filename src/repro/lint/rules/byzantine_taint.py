@@ -13,10 +13,11 @@ in a refactor.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Sequence
+from typing import FrozenSet, Iterator
 
-from repro.lint.engine import Finding, ParsedModule, ProjectRule, register_rule
-from repro.lint.flow import TaintEngine, build_call_graph
+from repro.lint.engine import Finding, ProjectRule, register_rule
+from repro.lint.flow.project import Project
+from repro.lint.flow.taint import TaintEngine
 from repro.lint.rules.safety_state import SAFETY_FIELDS
 
 #: Modules whose handler entry points are treated as taint sources.
@@ -49,23 +50,12 @@ class ByzantineTaintRule(ProjectRule):
         "state is enough to let two conflicting blocks gather quorums."
     )
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        project = [
-            module
-            for module in modules
-            if not module.is_test and module.module.startswith("repro")
-        ]
-        if not project:
-            return
-        by_module: Dict[str, ParsedModule] = {m.module: m for m in project}
-        graph = build_call_graph(project)
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        graph = project.graph
         sources = handler_sources(graph)
         engine = TaintEngine(graph, frozenset(SAFETY_FIELDS), sources)
         for qualname in sorted(sources):
             handler = graph.functions[qualname]
-            module = by_module.get(handler.module)
-            if module is None:
-                continue
             summary = engine.summary(qualname)
             for param in sorted(summary.param_sinks):
                 for hit in summary.param_sinks[param]:
@@ -76,7 +66,7 @@ class ByzantineTaintRule(ProjectRule):
                         else ""
                     )
                     yield Finding(
-                        path=module.path,
+                        path=project.paths[handler.module],
                         line=hit.line,
                         col=hit.col + 1,
                         rule=self.id,

@@ -32,7 +32,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.lint.astutil import import_map
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
 from repro.lint.flow.callgraph import _attribute_chain
-from repro.lint.flow.effects import iter_own_body
+from repro.lint.flow.base import iter_own_body
 from repro.lint.rules.scopes import in_runtime_scope
 
 _CANCELLED_TAILS = ("CancelledError", "BaseException")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.astutil import under_prefix
 from repro.lint.engine import (
     Finding,
     ParsedModule,
@@ -38,8 +39,8 @@ from repro.lint.engine import (
     Rule,
     register_rule,
 )
-from repro.lint.flow.callgraph import _attribute_chain, build_call_graph
-from repro.lint.flow.persistence import PersistenceIndex, build_persistence
+from repro.lint.flow.callgraph import _attribute_chain
+from repro.lint.flow.project import Project
 from repro.lint.rules.safety_state import SAFETY_FIELDS
 
 #: Handler roots whose linearized streams the write-ahead rule checks.
@@ -62,14 +63,6 @@ MONOTONE_FIELDS = frozenset(
 )
 
 
-def _project_modules(modules: Sequence[ParsedModule]) -> List[ParsedModule]:
-    return [
-        module
-        for module in modules
-        if not module.is_test and module.module.startswith("repro")
-    ]
-
-
 @register_rule
 class PersistBeforeSendRule(ProjectRule):
     """A journaled replica must persist safety mutations before sending."""
@@ -88,12 +81,8 @@ class PersistBeforeSendRule(ProjectRule):
         "broken.  Defer sends (outbox) and flush after the journal write."
     )
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        project = _project_modules(modules)
-        if not project:
-            return
-        by_module = {module.module: module for module in project}
-        index = build_persistence(project)
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        index = project.persistence
         graph = index.graph
         reported: Set[str] = set()
         for class_qual in sorted(graph.classes):
@@ -120,12 +109,9 @@ class PersistBeforeSendRule(ProjectRule):
                 reported.add(fn_qual)
                 fields, send_event = violation
                 handler = graph.functions[fn_qual]
-                module = by_module.get(handler.module)
-                if module is None:
-                    continue
                 via = " -> ".join(send_event.via) if send_event.via else ""
                 yield Finding(
-                    path=module.path,
+                    path=project.paths[handler.module],
                     line=handler.lineno,
                     col=1,
                     rule=self.id,
@@ -171,9 +157,8 @@ class JournalCoverageRule(ProjectRule):
         "three layers must enumerate the same fields."
     )
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        project = _project_modules(modules)
-        subjects = _CoverageSubjects.collect(project)
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        subjects = _CoverageSubjects.collect(project.modules)
         if subjects.snapshot_fields is None:
             return  # no snapshot dataclass in this tree; rule is inert
         fields = subjects.snapshot_fields
@@ -339,7 +324,7 @@ class _CoverageSubjects:
 
 
 @register_rule
-class AtomicReplaceRule(Rule):
+class AtomicReplaceRule(ProjectRule):
     """Storage/runtime file writes: append-mode or tmp -> fsync -> replace."""
 
     id = "atomic-replace"
@@ -357,21 +342,19 @@ class AtomicReplaceRule(Rule):
 
     _SCOPES = ("repro.storage", "repro.runtime")
 
-    def applies_to(self, module: ParsedModule) -> bool:
-        return not module.is_test and any(
-            module.module == scope or module.module.startswith(scope + ".")
-            for scope in self._SCOPES
-        )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        index = _FileIdiomIndex([module])
-        for qualname in sorted(index.functions):
-            events = index.functions[qualname]
-            writes = [e for e in events if e.kind == "open_write"]
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        index = project.persistence
+        for qualname in index.qualnames():
+            fp = index.persistence(qualname)
+            if fp is None or not under_prefix(fp.module, self._SCOPES):
+                continue
+            writes = [e for e in fp.stream if e.kind == "open_write"]
             if not writes:
                 continue
-            has_fsync = any(e.kind == "fsync" for e in events)
-            has_replace = any(e.kind == "replace" for e in events)
+            path = project.paths[fp.module]
+            kinds = {e.kind for e in fp.stream}
+            has_fsync = "fsync" in kinds
+            has_replace = "replace" in kinds
             for write in writes:
                 mode, _, target_kind = write.detail.partition("@")
                 if mode.startswith("a"):
@@ -384,7 +367,7 @@ class AtomicReplaceRule(Rule):
                         missing.append("os.replace")
                     if missing:
                         yield Finding(
-                            path=module.path,
+                            path=path,
                             line=write.line,
                             col=write.col + 1,
                             rule=self.id,
@@ -397,7 +380,7 @@ class AtomicReplaceRule(Rule):
                         )
                 else:
                     yield Finding(
-                        path=module.path,
+                        path=path,
                         line=write.line,
                         col=write.col + 1,
                         rule=self.id,
@@ -409,23 +392,6 @@ class AtomicReplaceRule(Rule):
                         ),
                         severity=self.severity,
                     )
-
-
-class _FileIdiomIndex:
-    """Per-function file-idiom event streams for one module."""
-
-    def __init__(self, modules: Sequence[ParsedModule]) -> None:
-        index = PersistenceIndex(build_call_graph(list(modules)), modules)
-        self.functions: Dict[str, list] = {}
-        for qualname in index.qualnames():
-            fp = index.persistence(qualname)
-            if fp is None:
-                continue
-            self.functions[qualname] = [
-                event
-                for event in fp.stream
-                if event.kind in {"open_write", "fsync", "replace"}
-            ]
 
 
 @register_rule

@@ -22,6 +22,7 @@ from repro.lint.astutil import (
     is_set_expression,
     iter_comprehension_iters,
     resolve_call,
+    under_prefix,
 )
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
 
@@ -86,10 +87,7 @@ def in_deterministic_scope(module: ParsedModule) -> bool:
     name = module.module
     if name in LIVE_SIDE_MODULES:
         return False
-    return any(
-        name == prefix or name.startswith(prefix + ".")
-        for prefix in DETERMINISTIC_PREFIXES
-    )
+    return under_prefix(name, DETERMINISTIC_PREFIXES)
 
 
 class _DeterministicScopeRule(Rule):

@@ -14,10 +14,10 @@ each concrete ``Message`` subclass appears in some reachable
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Sequence, Set
+from typing import Dict, Iterator, Set
 
 from repro.lint.engine import Finding, ParsedModule, ProjectRule, register_rule
-from repro.lint.flow import build_call_graph
+from repro.lint.flow.project import Project
 
 MESSAGES_MODULE = "repro.types.messages"
 MESSAGE_BASE = "Message"
@@ -88,18 +88,13 @@ class DispatchExhaustiveRule(ProjectRule):
         "from shipping half-wired."
     )
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterator[Finding]:
+    def check_project(self, project: Project) -> Iterator[Finding]:
         messages = next(
-            (m for m in modules if m.module == MESSAGES_MODULE), None
+            (m for m in project.all_modules if m.module == MESSAGES_MODULE), None
         )
         if messages is None:
             return  # partial tree (fixture run)
-        project = [
-            module
-            for module in modules
-            if not module.is_test and module.module.startswith("repro")
-        ]
-        graph = build_call_graph(project)
+        graph = project.graph
         roots = [
             qualname
             for qualname, node in graph.functions.items()

@@ -27,6 +27,7 @@ from repro.lint.astutil import (
     class_defines_slots,
     dataclass_decorator,
     dataclass_is_frozen,
+    under_prefix,
 )
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
 
@@ -66,10 +67,7 @@ class HotPathRule(Rule):
             return False
         if module.module in HOT_PATH_MODULES:
             return True
-        return any(
-            module.module == prefix or module.module.startswith(prefix + ".")
-            for prefix in HOT_PATH_PREFIXES
-        )
+        return under_prefix(module.module, HOT_PATH_PREFIXES)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

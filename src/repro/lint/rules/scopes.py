@@ -11,6 +11,8 @@ package gets all five rules by adding one string.
 
 from __future__ import annotations
 
+from repro.lint.astutil import under_prefix
+
 #: Dotted module prefixes the concurrency rules apply to.
 RUNTIME_SCOPE_PREFIXES = (
     "repro.net.tcp",
@@ -22,7 +24,4 @@ RUNTIME_SCOPE_PREFIXES = (
 
 def in_runtime_scope(module_name: str) -> bool:
     """True when ``module_name`` falls under a runtime scope prefix."""
-    return any(
-        module_name == prefix or module_name.startswith(prefix + ".")
-        for prefix in RUNTIME_SCOPE_PREFIXES
-    )
+    return under_prefix(module_name, RUNTIME_SCOPE_PREFIXES)

@@ -16,6 +16,7 @@ import re
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.lint.engine import Finding, ParsedModule, ProjectRule, register_rule
+from repro.lint.flow.project import Project
 
 MESSAGES_MODULE = "repro.types.messages"
 CODEC_MODULE = "repro.wire.codec"
@@ -44,7 +45,8 @@ class WireCoverageRule(ProjectRule):
         "the modeled-vs-encoded wire parity the complexity tables rely on."
     )
 
-    def check_project(self, modules: Sequence[ParsedModule]) -> Iterator[Finding]:
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        modules = project.all_modules
         messages = _find(modules, MESSAGES_MODULE)
         codec = _find(modules, CODEC_MODULE)
         if messages is None or codec is None:

@@ -435,52 +435,60 @@ class TcpTransport:
             task.add_done_callback(self._inbound_tasks.discard)
         reply: Optional[_ReplyChannel] = None
         peer_id: Optional[int] = None
+        finish: Optional["asyncio.Future[None]"] = None
         try:
-            peer_id = await self._handshake(reader)
-            if peer_id is None:
-                return
-            if peer_id not in self._channels and not self._closed:
-                # Dynamic peer (client): replies flow back over this
-                # connection.  A fresh connection from the same id replaces
-                # the stale channel (the client reconnected).
-                # Register the replacement *before* the suspension in
-                # stale.close(): a send() racing the handoff must see the
-                # fresh channel, never a gap (and never the closed one).
-                stale = self._accepted.pop(peer_id, None)
-                reply = _ReplyChannel(self, peer_id, writer)
-                self._accepted[peer_id] = reply
-                if stale is not None:
-                    await stale.close()
-            while not self._closed:
-                payload = await read_frame(reader)
-                self.frames_received += 1
-                self.bytes_received += len(payload)
-                try:
-                    sender, message = decode_message(payload)
-                except DecodeError:
-                    # One poisoned message; the stream is still in sync.
-                    self.decode_errors += 1
-                    continue
-                if sender != peer_id:
-                    self.auth_failures += 1
-                    continue
-                self.on_message(peer_id, message)
-        except FrameError:
-            self.frame_errors += 1
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # peer went away (or is reconnecting); server keeps running
+            try:
+                peer_id = await self._handshake(reader)
+                if peer_id is None:
+                    return
+                if peer_id not in self._channels and not self._closed:
+                    # Dynamic peer (client): replies flow back over this
+                    # connection.  A fresh connection from the same id replaces
+                    # the stale channel (the client reconnected).
+                    # Register the replacement *before* the suspension in
+                    # stale.close(): a send() racing the handoff must see the
+                    # fresh channel, never a gap (and never the closed one).
+                    stale = self._accepted.pop(peer_id, None)
+                    reply = _ReplyChannel(self, peer_id, writer)
+                    self._accepted[peer_id] = reply
+                    if stale is not None:
+                        await stale.close()
+                while not self._closed:
+                    payload = await read_frame(reader)
+                    self.frames_received += 1
+                    self.bytes_received += len(payload)
+                    try:
+                        sender, message = decode_message(payload)
+                    except DecodeError:
+                        # One poisoned message; the stream is still in sync.
+                        self.decode_errors += 1
+                        continue
+                    if sender != peer_id:
+                        self.auth_failures += 1
+                        continue
+                    self.on_message(peer_id, message)
+            except FrameError:
+                self.frame_errors += 1
+            except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                pass  # peer went away (or is reconnecting); server keeps running
+            finally:
+                # Shielded so a cancellation landing mid-finally cannot skip
+                # the channel deregistration or leave the socket half-closed.
+                finish = asyncio.ensure_future(
+                    self._finish_inbound(reply, peer_id, writer)
+                )
+                await asyncio.shield(finish)
         except asyncio.CancelledError:
-            # Our own shutdown cancels readers; completing normally here
-            # keeps asyncio.streams' done-callback from re-raising.  A
+            # Our own shutdown cancels readers, in the body or during the
+            # teardown above; completing normally keeps asyncio.streams'
+            # done-callback from logging the cancellation as an error.  A
             # cancellation from anywhere else must still propagate.
             if not self._closed:
                 raise
             if task is not None:
                 task.uncancel()
-        finally:
-            # Shielded so a cancellation landing mid-finally cannot skip
-            # the channel deregistration or leave the socket half-closed.
-            await asyncio.shield(self._finish_inbound(reply, peer_id, writer))
+            if finish is not None:
+                await finish  # join a teardown the cancellation interrupted
 
     async def _finish_inbound(
         self,

@@ -313,6 +313,18 @@ class LiveCluster:
         for transport in self.transports:
             await transport.close()
 
+    async def _stop(self) -> None:
+        """Silence every replica, then close every transport.
+
+        Crashing first cancels the replicas' timers and drops whatever
+        the close still delivers: a delivery handled during the close
+        would re-arm a round timer, and the replicas would keep timing
+        out and multicasting on a loop that outlives the cluster.
+        """
+        for replica in self.replicas:
+            replica.crash()
+        await self._close_transports()
+
     async def _run(
         self,
         target_commits: int,
@@ -351,10 +363,8 @@ class LiveCluster:
                     fallback_clear_at = None
                 await asyncio.sleep(0.02)
         finally:
-            for replica in self.replicas:
-                replica.cancel_all_timers()
             # Shielded: a cancelled run must still close every transport.
-            await asyncio.shield(self._close_transports())
+            await asyncio.shield(self._stop())
         return LiveRunReport(
             decisions=metrics.decisions(),
             min_honest_height=metrics.min_honest_height(),
@@ -433,10 +443,8 @@ class LiveCluster:
             ):
                 await asyncio.sleep(0.05)
         finally:
-            for replica in self.replicas:
-                replica.cancel_all_timers()
             # Shielded: a cancelled run must still close every transport.
-            await asyncio.shield(self._close_transports())
+            await asyncio.shield(self._stop())
         committed = tracker.committed_count()
         return {
             "offered_rate": rate,

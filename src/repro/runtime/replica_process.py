@@ -232,14 +232,17 @@ class ReplicaProcess:
                     pass
         finally:
             status = self._publish_status(final=True)
-            self.replica.cancel_all_timers()
             # Shielded: a cancelled replica (SIGTERM path) must still
             # close its transport and journal before the process exits.
             await asyncio.shield(self._shutdown(journal))
         return status
 
     async def _shutdown(self, journal: FileSafetyJournal) -> None:
-        """Transport + journal teardown; the shield target for run()."""
+        """Replica, transport and journal teardown; the shield target for
+        run().  Crashing the replica first cancels its timers and drops
+        whatever the close still delivers, so nothing re-arms a timer (or
+        writes the closed journal) once the host has stopped."""
+        self.replica.crash()
         await self.transport.close()
         journal.close()
 

@@ -5,7 +5,7 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python tests/lint/goldens/regen.py
 
-Rebuilds, with byte-identical formatting to the CLI dumps:
+Rebuilds, through the same ``Project.dump`` writer as the CLI dumps:
 
 - ``callgraph_core.json`` — the ``repro.core`` slice of the project call
   graph (``repro lint --graph ... --graph-prefix repro.core``)
@@ -24,7 +24,6 @@ your edit did to the runtime's concurrency behavior.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -58,44 +57,24 @@ PERSISTENCE_PREFIXES = (
 )
 
 
+#: golden file -> (analysis, module prefixes) of its ``Project.dump``.
+GOLDEN_DUMPS = {
+    "callgraph_core.json": ("graph", ("repro.core",)),
+    "effects_runtime.json": ("effects", EFFECTS_PREFIXES),
+    "persistence_storage.json": ("persistence", PERSISTENCE_PREFIXES),
+}
+
+
 def main() -> int:
     repo_root = _repo_root()
     sys.path.insert(0, str(repo_root / "src"))
     from repro.lint.engine import collect_modules
-    from repro.lint.flow import build_call_graph, build_effects, build_persistence
+    from repro.lint.flow import Project
 
-    modules = [
-        m
-        for m in collect_modules(repo_root / "src", None)
-        if not m.is_test and m.module.startswith("repro")
-    ]
-
-    graph = build_call_graph(modules)
-    graph_dump = (
-        json.dumps(graph.to_json("repro.core"), indent=2, sort_keys=True) + "\n"
-    )
-    (GOLDENS / "callgraph_core.json").write_text(graph_dump, encoding="utf-8")
-    print(f"wrote {GOLDENS / 'callgraph_core.json'}")
-
-    index = build_effects(modules)
-    effects_dump = (
-        json.dumps(index.to_json(EFFECTS_PREFIXES), indent=2, sort_keys=True)
-        + "\n"
-    )
-    (GOLDENS / "effects_runtime.json").write_text(effects_dump, encoding="utf-8")
-    print(f"wrote {GOLDENS / 'effects_runtime.json'}")
-
-    persistence = build_persistence(modules)
-    persistence_dump = (
-        json.dumps(
-            persistence.to_json(PERSISTENCE_PREFIXES), indent=2, sort_keys=True
-        )
-        + "\n"
-    )
-    (GOLDENS / "persistence_storage.json").write_text(
-        persistence_dump, encoding="utf-8"
-    )
-    print(f"wrote {GOLDENS / 'persistence_storage.json'}")
+    project = Project(collect_modules(repo_root / "src", None))
+    for name, (analysis, prefixes) in GOLDEN_DUMPS.items():
+        (GOLDENS / name).write_text(project.dump(analysis, prefixes), encoding="utf-8")
+        print(f"wrote {GOLDENS / name}")
     return 0
 
 

@@ -1,11 +1,10 @@
 """Call-graph construction: method/alias resolution and serialization."""
 
-import json
 from pathlib import Path
 
 import repro
 from repro.lint.engine import collect_modules
-from repro.lint.flow import build_call_graph
+from repro.lint.flow import Project, build_call_graph
 
 from tests.lint.conftest import mod
 
@@ -190,13 +189,8 @@ def test_reachable_from_walks_the_graph():
 
 
 def _real_core_dump() -> str:
-    modules = [
-        m
-        for m in collect_modules(REPO_ROOT / "src", None)
-        if not m.is_test and m.module.startswith("repro")
-    ]
-    graph = build_call_graph(modules)
-    return json.dumps(graph.to_json("repro.core"), indent=2, sort_keys=True) + "\n"
+    project = Project(collect_modules(REPO_ROOT / "src", None))
+    return project.dump("graph", ["repro.core"])
 
 
 def test_serialized_graph_is_build_stable():

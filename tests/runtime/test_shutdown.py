@@ -16,6 +16,10 @@ import pytest
 
 from repro.crypto.hashing import hash_fields
 from repro.net.tcp import TcpTransport
+from repro.runtime.live import LiveCluster
+from repro.runtime.replica_process import ReplicaProcess
+from repro.runtime.spec import ClusterSpec
+from repro.sim.process import Process
 from repro.types.messages import BlockRequest
 from repro.wire.codec import encode_message
 
@@ -104,13 +108,20 @@ def test_cancelling_close_propagates():
         probe.close()
         await probe.wait_closed()
 
-        transport = TcpTransport(0, lambda p, m: None)
+        # A backoff far longer than the close grace period: once its first
+        # dial fails, the sender sleeps through the whole grace wait and
+        # cannot finish on its own before the closer is cancelled.
+        transport = TcpTransport(
+            0, lambda p, m: None, backoff_initial=60.0, backoff_max=60.0
+        )
         transport.add_peer(1, "127.0.0.1", dead_port)
         channel = transport._channels[1]
-        await asyncio.sleep(0.05)  # let the dial loop start failing
+        await _wait_for(lambda: channel.connect_attempts >= 1)
 
         closer = asyncio.get_running_loop().create_task(channel.close())
-        await asyncio.sleep(0.05)  # closer is now inside the grace wait
+        # close() posts the sentinel and enters the grace wait in one step.
+        await _wait_for(lambda: channel.queue.qsize() == 1)
+        assert not closer.done() and not channel.task.done()
         closer.cancel()
         with pytest.raises(asyncio.CancelledError):
             await closer
@@ -139,5 +150,67 @@ def test_close_returns_normally_when_not_cancelled():
         assert channel.task is not None and channel.task.done()
         await asyncio.sleep(0.05)
         assert len(asyncio.all_tasks()) == 1
+
+    asyncio.run(go())
+
+
+def _count_timer_fires(monkeypatch):
+    fired = []
+    fire = Process._fire_timer
+
+    def counting(self, name):
+        fired.append((self.process_id, name))
+        fire(self, name)
+
+    monkeypatch.setattr(Process, "_fire_timer", counting)
+    return fired
+
+
+def test_stopped_live_cluster_stays_silent_on_a_surviving_loop(monkeypatch):
+    # Regression: teardown cancelled the timers before closing the
+    # transports, deliveries during the close re-armed them, and the
+    # replicas kept timing out and multicasting on a loop that outlived
+    # the cluster.
+    fired = _count_timer_fires(monkeypatch)
+
+    async def go():
+        cluster = LiveCluster(n=N, seed=5, round_timeout=0.2, preload=100)
+        report = await cluster._run(3, 30.0, False, 5)
+        assert not report.timed_out
+        fired.clear()
+        sent = cluster.network.messages_sent
+        await asyncio.sleep(3 * cluster.config.round_timeout)
+        assert fired == []
+        assert cluster.network.messages_sent == sent
+
+    asyncio.run(go())
+
+
+def test_stopped_replica_hosts_stay_silent_on_a_surviving_loop(
+    monkeypatch, tmp_path
+):
+    # The same regression for ``repro live --processes`` hosts, here all
+    # in one loop: a timer firing after the stop also wrote to the closed
+    # journal.
+    fired = _count_timer_fires(monkeypatch)
+
+    async def go():
+        spec = ClusterSpec.create(
+            N, tmp_path, seed=5, round_timeout=0.2, preload=100
+        )
+        hosts = [ReplicaProcess(spec, i) for i in range(N)]
+        runs = asyncio.gather(*(host.run() for host in hosts))
+        await _wait_for(
+            lambda: all(len(host.committed_ids()) >= 3 for host in hosts),
+            timeout=30.0,
+        )
+        for host in hosts:
+            host.stop()
+        await runs
+        fired.clear()
+        sent = [host.network.messages_sent for host in hosts]
+        await asyncio.sleep(3 * spec.config().round_timeout)
+        assert fired == []
+        assert [host.network.messages_sent for host in hosts] == sent
 
     asyncio.run(go())
