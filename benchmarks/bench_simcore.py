@@ -41,7 +41,6 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.crypto.hashing import hash_cache_size
 from repro.experiments.scenarios import build_cluster, leader_attack_factory
 from repro.net.loss import IIDLoss
 from repro.protocols.presets import preset
@@ -171,7 +170,6 @@ def run_scenario(
         # perf change may move, while the fingerprint must stay fixed.
         "cert_cache": cluster.metrics.cert_cache_counters(),
         "share_pool": cluster.metrics.share_pool_counters(),
-        "hash_cache_entries": hash_cache_size(),
     }
 
 

@@ -7,19 +7,16 @@ readable in traces.
 
 Performance: :func:`hash_fields` is the single hottest crypto primitive in
 the simulator — every signature tag, threshold-share tag, block id and coin
-value goes through it, and the same payload tuple is hashed once per replica
-that verifies it.  Two optimizations keep it off the profile:
-
-- a **fast stable encoder** (:func:`_encode_into`) that dispatches on the
-  concrete field type instead of calling ``repr`` through the generic
-  protocol for every field.  The byte encoding is *identical* to the
-  historical ``repr``-based one, so digests — and therefore block ids and
-  common-coin leader elections — are stable across versions.
-- a **digest memo**: payload tuples are hashable, so the full
-  fields -> digest mapping is cached process-wide.  The cache is a pure
-  function table (same input, same digest) and therefore invisible to
-  determinism; ``hash_fields_uncached`` bypasses it for tests that prove
-  cached and uncached digests are byte-identical.
+value goes through it.  A **fast stable encoder** (:func:`_encode_into`)
+dispatches on the concrete field type instead of calling ``repr`` through
+the generic protocol for every field.  The byte encoding is *identical* to
+the historical ``repr``-based one, so digests — and therefore block ids and
+common-coin leader elections — are stable across versions
+(``tests/crypto/test_hashing.py`` pins them).  There is no digest memo:
+encoding and hashing directly costs less than an average lookup with a key
+that keeps ``False`` and ``0`` apart, and a process-wide memo keeps every
+digest alive (``docs/PERFORMANCE.md``).  Blocks and certificates cache
+their own digests in a ``cached_property``.
 """
 
 from __future__ import annotations
@@ -74,11 +71,11 @@ def _encode_into(parts: bytearray, fields: Iterable[object]) -> None:
         parts += encoded
 
 
-def hash_fields_uncached(*fields: object) -> Digest:
-    """Hash a tuple of simple fields, bypassing the digest memo.
+def hash_fields(*fields: object) -> Digest:
+    """Hash a tuple of simple fields (ints, strings, digests, tuples).
 
-    Exists so tests can prove the memoized path returns byte-identical
-    digests; production code calls :func:`hash_fields`.
+    Fields are rendered with an unambiguous length-prefixed encoding so that
+    ``hash_fields("ab", "c") != hash_fields("a", "bc")``.
     """
     parts = bytearray()
     _encode_into(parts, fields)
@@ -86,65 +83,25 @@ def hash_fields_uncached(*fields: object) -> Digest:
 
 
 # ----------------------------------------------------------------------
-# Memoized entry point
+# perfbench compatibility shims
 # ----------------------------------------------------------------------
-#: memo key -> digest.  Bounded: cleared wholesale when it outgrows the
-#: limit (simple and O(1) amortized; a run that genuinely produces millions
-#: of distinct payloads just pays an occasional cold restart).
-_MEMO: dict[object, Digest] = {}
-_MEMO_LIMIT = 1 << 20
+# ``perfbench/`` imports these three names from the days of a process-wide
+# digest memo.  They exist only for perfbench and go in its next change.
 
 
-def _memo_key(value: object) -> object:
-    """A hashable key with the invariant *equal keys => equal encodings*.
+def hash_fields_uncached(*fields: object) -> Digest:
+    """Same digest as :func:`hash_fields`; kept only for perfbench.
 
-    The raw fields tuple is not a sound key: ``False == 0`` (and
-    ``1 == 1.0``) yet they encode differently, so numeric scalars are tagged
-    with their concrete type.  Strings only ever equal strings and stay
-    untagged; tuples and lists encode identically, so both map to a plain
-    tuple of child keys.  Anything else raises TypeError, routing the call
-    to the uncached path rather than risking a conflation.
+    A function of its own, not an alias: the tracer wraps functions by
+    identity, so an alias would nest two spans around every hash.
     """
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is int or kind is bool or kind is float:
-        return (kind, value)
-    if kind is tuple or kind is list:
-        return tuple(_memo_key(item) for item in value)
-    if value is None:
-        return _NONE_KEY
-    raise TypeError(f"unmemoizable field type {kind.__name__}")
-
-
-_NONE_KEY = (type(None), None)
-
-
-def hash_fields(*fields: object) -> Digest:
-    """Hash a tuple of simple fields (ints, strings, digests, tuples).
-
-    Fields are rendered with an unambiguous length-prefixed encoding so that
-    ``hash_fields("ab", "c") != hash_fields("a", "bc")``.  Results are
-    memoized for the simple field types the protocol actually hashes.
-    """
-    try:
-        key = _memo_key(fields)
-    except TypeError:  # exotic field: encode directly, skip the memo
-        return hash_fields_uncached(*fields)
-    digest = _MEMO.get(key)
-    if digest is None:
-        digest = hash_fields_uncached(*fields)
-        if len(_MEMO) >= _MEMO_LIMIT:
-            _MEMO.clear()
-        _MEMO[key] = digest
-    return digest
+    return hash_fields(*fields)
 
 
 def clear_hash_cache() -> None:
-    """Drop the digest memo (tests; never needed for correctness)."""
-    _MEMO.clear()
+    """No-op; kept only for perfbench (there is no digest memo)."""
 
 
 def hash_cache_size() -> int:
-    """Number of memoized digests (introspection for tests/benchmarks)."""
-    return len(_MEMO)
+    """Always 0; kept only for perfbench (there is no digest memo)."""
+    return 0

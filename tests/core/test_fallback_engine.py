@@ -118,7 +118,14 @@ def test_full_fallback_round_trip_commits(cluster):
     """Drive all four replicas through a complete fallback by scheduler."""
     for replica in cluster.replicas:
         replica.fallback.on_local_timeout()
-    cluster.scheduler.drain(limit=500_000)
+
+    def exited_and_committed():
+        return (
+            all(not r.fallback_mode and r.v_cur == 1 for r in cluster.replicas)
+            and cluster.metrics.decisions() >= 1
+        )
+
+    cluster.scheduler.run(max_events=500_000, stop_when=exited_and_committed)
     # Everyone exited into view 1 and someone committed the endorsed chain
     # (probability over the coin is 1 here because all four chains complete).
     for replica in cluster.replicas:

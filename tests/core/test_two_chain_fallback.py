@@ -46,11 +46,15 @@ def lopsided_locks(cluster):
     return qcs
 
 
-def enter_all(cluster):
-    """Time out every replica and drain until the fallback resolves."""
+def enter_all(cluster, resolved=None):
+    """Time out every replica and run until ``resolved()`` holds.
+
+    Without a predicate the run drains the event queue (the deadlock case,
+    where the fallback never resolves).
+    """
     for replica in cluster.replicas:
         replica.fallback.on_local_timeout()
-    cluster.scheduler.drain(limit=500_000)
+    cluster.scheduler.run(max_events=500_000, stop_when=resolved)
 
 
 def test_without_adoption_the_one_chain_lock_deadlocks():
@@ -86,7 +90,13 @@ def test_without_adoption_the_one_chain_lock_deadlocks():
 def test_fallback_completes_with_adoption():
     cluster = build_cluster(adoption=True)
     lopsided_locks(cluster)
-    enter_all(cluster)
+    enter_all(
+        cluster,
+        lambda: all(
+            not replica.fallback_mode and replica.v_cur == 1
+            for replica in cluster.replicas
+        ),
+    )
     for replica in cluster.replicas:
         assert not replica.fallback_mode
         assert replica.v_cur == 1
@@ -100,7 +110,14 @@ def test_fallback_completes_with_adoption():
 def test_two_chain_fallback_chains_have_two_heights():
     cluster = build_cluster(adoption=True)
     lopsided_locks(cluster)
-    enter_all(cluster)
+    enter_all(
+        cluster,
+        lambda: any(
+            height == 2
+            for replica in cluster.replicas
+            for (_view, _proposer, height) in replica.fallback.fqcs
+        ),
+    )
     heights = {
         height
         for replica in cluster.replicas
@@ -117,7 +134,7 @@ def test_endorsed_two_chain_commits_at_exit():
     for seed in range(6):
         cluster = build_cluster(adoption=True, seed=160 + seed)
         lopsided_locks(cluster)
-        enter_all(cluster)
+        enter_all(cluster, lambda: cluster.metrics.decisions() > 0)
         if cluster.metrics.decisions() > 0:
             commits_seen += 1
     # Per Lemma 7's logic the per-fallback commit probability is ~2f+1/n;

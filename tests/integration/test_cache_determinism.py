@@ -1,9 +1,9 @@
 """Caches must be invisible: cached and bypass runs are event-identical.
 
-The digest memo and the verified-certificate cache are pure-function tables;
-enabling them must not change a single protocol decision.  These tests run
-the same seeded cluster with caches engaged and with the certificate cache
-bypassed, and require identical commit traces and metrics counters.
+The verified-certificate cache is a pure-function table of verification
+verdicts; enabling it must not change a single protocol decision.  These
+tests run the same seeded cluster with the cache engaged and bypassed, and
+require identical commit traces and metrics counters.
 """
 
 from repro.experiments.scenarios import leader_attack_factory

@@ -80,7 +80,10 @@ def test_timeout_in_new_view_after_exit():
     # Now force timeouts: every replica times out in view 1.
     for replica in cluster.replicas:
         replica.fallback.on_local_timeout()
-    cluster.scheduler.drain(limit=300_000)
+    cluster.scheduler.run(
+        max_events=300_000,
+        stop_when=lambda: all(r.v_cur >= 2 for r in cluster.replicas),
+    )
     assert all(r.v_cur >= 2 for r in cluster.replicas)
     assert_cluster_safety(cluster.honest_replicas())
 
