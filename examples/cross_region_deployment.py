@@ -11,13 +11,16 @@ linear fast path once the links recover.
 Run:  python examples/cross_region_deployment.py
 """
 
+import random
+
 from repro import ClusterBuilder
 from repro.analysis.safety import assert_cluster_safety
 from repro.analysis.traces import Timeline
 from repro.ledger.ledger import KVStateMachine
 from repro.net.conditions import AsynchronousDelay, DelayModel
 from repro.net.topology import CrossRegionDelay, evenly_spread_regions
-from repro.workloads.bursty import SkewedKeyWorkload
+from repro.traffic.admission import AdmissionController
+from repro.traffic.loadgen import preload
 
 N = 7
 DEGRADE_AT, RECOVER_AT, END_AT = 80.0, 220.0, 500.0
@@ -30,6 +33,22 @@ HEALTHY = CrossRegionDelay(
     pair_bands={("us", "eu"): (0.3, 0.8), ("eu", "ap"): (0.6, 1.4)},
 )
 STORM = AsynchronousDelay(base_delay=10.0, tail_scale=20.0, max_delay=60.0)
+
+
+def zipf_payload(keys=64, seed=0):
+    """KV ``set`` commands whose key popularity falls off as 1/rank.
+
+    A handful of keys receive most writes, so the replicated KV store shows
+    realistic hot-key churn.  Seeded: the same ``seed`` gives the same keys.
+    """
+    rng = random.Random(repr(("skewed-workload", seed)))
+    weights = [1.0 / rank for rank in range(1, keys + 1)]
+
+    def payload(index):
+        key = rng.choices(range(keys), weights=weights, k=1)[0]
+        return f"set key-{key} value-0-{index}"
+
+    return payload
 
 
 class RegionalDegradation(DelayModel):
@@ -49,9 +68,15 @@ def main() -> None:
     cluster = (
         ClusterBuilder(n=N, seed=29)
         .with_state_machine(KVStateMachine)
-        .with_workload(lambda pools: SkewedKeyWorkload(pools, count=3000, keys=64, seed=29))
+        .with_preload(0)
         .with_delay_model(RegionalDegradation())
         .build()
+    )
+    preload(
+        AdmissionController(cluster.mempools).offer,
+        3000,
+        cluster.scheduler.now,
+        payload=zipf_payload(keys=64, seed=29),
     )
     cluster.run(until=END_AT)
 

@@ -38,7 +38,7 @@ from typing import Optional
 from repro.client.client import ClientReply, ClientRequest
 from repro.net.tcp import TcpTransport
 from repro.runtime.spec import ClusterSpec
-from repro.traffic.slo import percentile  # noqa: F401  (canonical home; re-exported)
+from repro.traffic.slo import summarize
 from repro.types.transactions import Transaction
 from repro.wire.codec import encode_message
 
@@ -336,7 +336,8 @@ class ClientSwarm:
             for client in self.clients
             for confirmation in client.confirmations
         ]
-        confirmed = len(latencies)
+        summary = summarize(latencies)
+        confirmed = summary.count
         wall = self._wall_seconds
         return SwarmReport(
             clients=len(self.clients),
@@ -346,9 +347,9 @@ class ClientSwarm:
             confirmed=confirmed,
             retransmissions=sum(client.retransmissions for client in self.clients),
             throughput_tps=confirmed / wall if wall > 0 else 0.0,
-            latency_p50=percentile(latencies, 50),
-            latency_p95=percentile(latencies, 95),
-            latency_p99=percentile(latencies, 99),
-            latency_mean=sum(latencies) / confirmed if confirmed else None,
-            latency_max=max(latencies, default=None),
+            latency_p50=summary.p50,
+            latency_p95=summary.p95,
+            latency_p99=summary.p99,
+            latency_mean=summary.mean,
+            latency_max=summary.max,
         )

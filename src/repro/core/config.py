@@ -1,9 +1,12 @@
 """Protocol configuration.
 
 ``ProtocolConfig`` fixes everything a replica needs to know at setup time:
-cluster size, fault budget, timeouts, which protocol variant runs, and the
-variant's derived parameters (commit-rule depth, lock rule, fallback chain
-height, chain-adoption optimization).
+cluster size, fault budget, the round timeout, which protocol variant runs,
+and the variant's derived parameters (commit-rule depth, lock rule, fallback
+chain height, chain-adoption optimization).  Nothing here tunes liveness:
+the asynchronous fallback is live with no timer at all, so the round
+timeout is fixed and steady-state leaders rotate by
+:class:`~repro.core.leader.LeaderSchedule`'s fixed rule.
 """
 
 from __future__ import annotations
@@ -37,26 +40,12 @@ class ProtocolConfig:
     Attributes:
         n: number of replicas; must satisfy n = 3f+1 for some f >= 0.
         variant: which protocol to assemble.
-        round_timeout: base timer duration for a round (simulated time).
-        timeout_multiplier: per-entered-view exponential backoff factor
-            applied to the round timeout (1.0 = no backoff).
+        round_timeout: timer duration for a round (simulated time).
         batch_size: max transactions pulled from the mempool per block.
-        leader_rotation_interval: rounds per steady-state leader (the paper
-            rotates every 4 rounds so an honest leader can finish a 3-chain).
         fallback_adoption: enable the paper's "Optimization in Practice"
             (build on / adopt other replicas' certified f-blocks).  ``None``
             picks the variant default: off for 3-chain, on for 2-chain
             (Section 4 needs it for liveness under the 1-chain lock).
-        sync_missing_blocks: request blocks we saw certified but never
-            received (catch-up); keep on except in complexity microbenches.
-        deferred_share_verify: skip eager per-arrival verification of
-            threshold/coin shares and validate only at combine time (the
-            batched mode: one pooled pass over the quorum instead of one
-            hash per arriving duplicate).  Invalid shares surface as a
-            failed combine, which evicts them and resumes waiting —
-            liveness is unchanged because 2f+1 honest shares always
-            combine.  Off by default: eager mode keeps recorded benchmark
-            fingerprints byte-identical.
         validity_predicate: optional external-validity predicate (the
             paper's validated BFT SMR): honest replicas propose only valid
             transactions and refuse to vote for blocks containing invalid
@@ -66,22 +55,17 @@ class ProtocolConfig:
             each proposal instead of using the fixed ``batch_size``.  Off
             by default: the flag-off path constructs no traffic objects and
             keeps recorded benchmark fingerprints byte-identical.
-        adaptive_min_batch / adaptive_max_batch: the controller's batch-size
-            bounds (only read when ``adaptive_batching`` is on).
+        adaptive_max_batch: the controller's batch-size ceiling (only read
+            when ``adaptive_batching`` is on; the floor is 1).
     """
 
     n: int = 4
     variant: ProtocolVariant = ProtocolVariant.FALLBACK_3CHAIN
     round_timeout: float = 5.0
-    timeout_multiplier: float = 1.0
     batch_size: int = 10
-    leader_rotation_interval: int = 4
     fallback_adoption: Optional[bool] = None
-    sync_missing_blocks: bool = True
-    deferred_share_verify: bool = False
     validity_predicate: Optional[ValidityPredicate] = None
     adaptive_batching: bool = False
-    adaptive_min_batch: int = 1
     adaptive_max_batch: int = 160
 
     def __post_init__(self) -> None:
@@ -91,14 +75,8 @@ class ProtocolConfig:
             )
         if self.round_timeout <= 0:
             raise ValueError("round_timeout must be positive")
-        if self.timeout_multiplier < 1.0:
-            raise ValueError("timeout_multiplier must be >= 1.0")
-        if self.leader_rotation_interval < 1:
-            raise ValueError("leader_rotation_interval must be >= 1")
-        if self.adaptive_min_batch < 1:
-            raise ValueError("adaptive_min_batch must be >= 1")
-        if self.adaptive_max_batch < self.adaptive_min_batch:
-            raise ValueError("adaptive_max_batch must be >= adaptive_min_batch")
+        if self.adaptive_max_batch < 1:
+            raise ValueError("adaptive_max_batch must be >= 1")
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -159,7 +137,3 @@ class ProtocolConfig:
         rule does not require consecutive rounds.
         """
         return self.uses_fallback
-
-    def timeout_for_view(self, entered_fallbacks: int) -> float:
-        """Round timeout with exponential backoff over entered fallbacks."""
-        return self.round_timeout * (self.timeout_multiplier ** entered_fallbacks)

@@ -48,16 +48,11 @@ class SharedSetup:
         cls,
         config: ProtocolConfig,
         coin_seed: int = 0,
-        cert_cache: Optional[VerifiedCertCache] = None,
         cert_cache_enabled: bool = True,
-        share_pool: Optional[VerifiedSharePool] = None,
-        share_pool_enabled: bool = True,
     ) -> "SharedSetup":
         registry = Registry(config.n)
-        if cert_cache is None:
-            cert_cache = VerifiedCertCache(enabled=cert_cache_enabled)
-        if share_pool is None:
-            share_pool = VerifiedSharePool(enabled=share_pool_enabled)
+        cert_cache = VerifiedCertCache(enabled=cert_cache_enabled)
+        share_pool = VerifiedSharePool()
         registry.add_epoch_listener(cert_cache.on_epoch_change)
         registry.add_epoch_listener(share_pool.on_epoch_change)
         return cls(

@@ -22,9 +22,8 @@ shares, completion announcements, own chain, f-QCs) lives in one dense
 :class:`~repro.core.quorum.FallbackViewState` per view instead of parallel
 per-view dicts, and share buckets are incremental
 :class:`~repro.core.quorum.ShareQuorumTracker` arrays with O(1) threshold
-checks.  With ``config.deferred_share_verify`` the per-arrival share hash
-check is skipped and validation happens (pooled) at combine time; a failed
-combine evicts the invalid shares and resumes waiting.
+checks.  Every share is verified (through the cluster's share pool) on
+arrival, before it enters a tracker.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ class FallbackEngine:
         self.crypto = replica.crypto
         self.top_height = self.config.fallback_top_height
         self.n = self.config.n
-        self._deferred = self.config.deferred_share_verify
 
         #: Per-view fallback working set (dense arrays; see
         #: :class:`~repro.core.quorum.FallbackViewState`).
@@ -160,9 +158,7 @@ class FallbackEngine:
         share = message.share
         if share.signer != sender:
             return
-        if not self._deferred and not self.crypto.verify_share(
-            share, ("ftimeout", message.view)
-        ):
+        if not self.crypto.verify_share(share, ("ftimeout", message.view)):
             return
         if not verify_parent_cert(self.crypto, message.qc_high):
             return
@@ -177,8 +173,6 @@ class FallbackEngine:
             try:
                 signature = self.crypto.combine(tracker.shares(), payload)
             except SignatureError:
-                # Deferred verification: a Byzantine share snuck into the
-                # quorum — evict everything invalid and keep waiting.
                 tracker.evict_invalid(
                     lambda s: self.crypto.verify_share(s, payload)
                 )
@@ -307,7 +301,7 @@ class FallbackEngine:
             message.height,
             message.proposer,
         )
-        if not self._deferred and not self.crypto.verify_share(share, payload):
+        if not self.crypto.verify_share(share, payload):
             return
         tracker = state.own_votes[message.height]
         if tracker is None:
@@ -321,10 +315,6 @@ class FallbackEngine:
         try:
             signature = self.crypto.combine(tracker.shares(), payload)
         except SignatureError:
-            if self._deferred:
-                tracker.evict_invalid(
-                    lambda s: self.crypto.verify_share(s, payload)
-                )
             return
         fqc = FallbackQC(
             block_id=message.block_id,
@@ -419,7 +409,7 @@ class FallbackEngine:
         share = message.share
         if share.signer != sender:
             return
-        if not self._deferred and not self.crypto.verify_coin_share(share):
+        if not self.crypto.verify_coin_share(share):
             return
         view = share.view
         if view in self.coin_qcs:

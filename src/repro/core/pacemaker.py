@@ -36,7 +36,6 @@ class PacemakerEngine:
     def __init__(self, replica: "Replica") -> None:
         self.replica = replica
         self.crypto = replica.crypto
-        self._deferred = replica.config.deferred_share_verify
         # Round -> incremental share tracker (O(1) quorum checks).
         self._timeout_shares: dict[
             int, ShareQuorumTracker[ThresholdSignatureShare]
@@ -77,9 +76,7 @@ class PacemakerEngine:
         share = message.share
         if share.signer != sender:
             return
-        if not self._deferred and not self.crypto.verify_share(
-            share, ("timeout", message.round)
-        ):
+        if not self.crypto.verify_share(share, ("timeout", message.round)):
             return
         if not verify_parent_cert(self.crypto, message.qc_high):
             return
@@ -100,8 +97,6 @@ class PacemakerEngine:
             try:
                 signature = self.crypto.combine(tracker.shares(), payload)
             except SignatureError:
-                # Deferred verification: evict the invalid shares and keep
-                # waiting for an honest quorum.
                 tracker.evict_invalid(
                     lambda s: self.crypto.verify_share(s, payload)
                 )

@@ -59,8 +59,8 @@ class ShareQuorumTracker(Generic[S]):
         """Insert keep-first; return True if the signer was new.
 
         Out-of-range signers are rejected (verified shares always carry a
-        registered signer; in deferred-verify mode this bounds-checks
-        Byzantine garbage before any array access).
+        registered signer; this bounds-checks Byzantine garbage before any
+        array access).
         """
         if not 0 <= signer < self.n:
             return False
@@ -95,8 +95,8 @@ class ShareQuorumTracker(Generic[S]):
     def evict_invalid(self, is_valid: Callable[[S], bool]) -> int:
         """Drop every share failing ``is_valid``; return how many went.
 
-        Deferred-verify recovery: after a combine raises, the invalid
-        shares are evicted so honest arrivals can re-reach the threshold.
+        Combine recovery: after a combine raises, the invalid shares are
+        evicted so honest arrivals can re-reach the threshold.
         """
         evicted = 0
         for signer in range(self.n):

@@ -126,7 +126,7 @@ class Replica(Process):
         self.crypto = crypto
         self.network = network
         self.observer = observer or ReplicaObserver()
-        self.schedule = LeaderSchedule(config.n, config.leader_rotation_interval)
+        self.schedule = LeaderSchedule(config.n)
         self.mempool = mempool if mempool is not None else Mempool(config.batch_size)
         # Adaptive proposal batching (opt-in): with the flag off this stays
         # None and the flag-off hot path is a single identity check — no
@@ -139,7 +139,6 @@ class Replica(Process):
             envelope = TrafficEnvelope()
             self.mempool.attach_envelope(envelope, lambda: self.now)
             self._batch_controller = AdaptiveBatchController(
-                min_batch=config.adaptive_min_batch,
                 max_batch=config.adaptive_max_batch,
                 start=config.batch_size,
                 envelope=envelope.cluster,
@@ -154,8 +153,6 @@ class Replica(Process):
         self.qc_high: ParentCert = genesis_qc(self.store.genesis.id)
         self.fallback_mode = False
         self.fallbacks_entered = 0
-
-        self._deferred_share_verify = config.deferred_share_verify
 
         # Vote aggregation (as the next round's leader), keyed
         # ("vote", block_id, round, view); incremental trackers give O(1)
@@ -365,9 +362,7 @@ class Replica(Process):
         if share.signer != sender:
             return
         payload = ("vote", message.block_id, message.round, message.view)
-        if not self._deferred_share_verify and not self.crypto.verify_share(
-            share, payload
-        ):
+        if not self.crypto.verify_share(share, payload):
             return
         key = payload
         if key in self._formed_qcs:
@@ -381,7 +376,6 @@ class Replica(Process):
             try:
                 signature = self.crypto.combine(tracker.shares(), payload)
             except SignatureError:
-                # Deferred verification: evict invalid shares, keep waiting.
                 tracker.evict_invalid(
                     lambda s: self.crypto.verify_share(s, payload)
                 )
@@ -496,9 +490,7 @@ class Replica(Process):
     # Round timer
     # ------------------------------------------------------------------
     def _arm_round_timer(self) -> None:
-        self.set_timer(
-            ROUND_TIMER, self.config.timeout_for_view(self.fallbacks_entered)
-        )
+        self.set_timer(ROUND_TIMER, self.config.round_timeout)
 
     def after_view_change(self) -> None:
         """Duties after exiting a fallback: timers and possibly proposing."""
@@ -520,8 +512,6 @@ class Replica(Process):
         chain is almost certainly missing below them.
         """
         self._pending_certs.append(cert)
-        if not self.config.sync_missing_blocks:
-            return
         block_id = cert.block_id
         if block_id in self._requested_blocks:
             return

@@ -19,9 +19,10 @@ payload key)``:
   share carrying a copied tag but a different signer, epoch or payload
   keys differently and cannot inherit a genuine verdict.
 
-``enabled=False`` turns the pool into a pass-through (every lookup calls
-the verifier), the bypass mode determinism tests use to prove pooled and
-unpooled runs are event-for-event identical.
+A pooled verdict is the verifier's verdict:
+``tests/core/test_quorum_properties.py`` checks pooled verification against
+``ThresholdScheme.verify_share`` and ``CommonCoin.verify_share`` over
+arbitrary share corpora.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ PoolKey = tuple[Hashable, ...]
 class VerifiedSharePool:
     """Shared share-verification verdict pool with hit/miss counters."""
 
-    def __init__(self, enabled: bool = True, max_entries: int = 1 << 20) -> None:
-        self.enabled = enabled
+    def __init__(self, max_entries: int = 1 << 20) -> None:
         self.max_entries = max_entries
         self._verdicts: dict[PoolKey, bool] = {}
         self.hits = 0
@@ -50,12 +50,9 @@ class VerifiedSharePool:
     def check(self, key: PoolKey, verifier: Callable[[], bool]) -> bool:
         """Return the pooled verdict for ``key`` or compute and record it.
 
-        ``verifier`` runs at most once per key; with the pool disabled it
-        runs every time and nothing is recorded.  ``key[0]`` must be the
+        ``verifier`` runs at most once per key.  ``key[0]`` must be the
         current registry epoch (see :meth:`on_epoch_change`).
         """
-        if not self.enabled:
-            return verifier()
         verdict = self._verdicts.get(key)
         if verdict is None:
             self.misses += 1
@@ -66,11 +63,6 @@ class VerifiedSharePool:
         else:
             self.hits += 1
         return verdict
-
-    def evict(self, key: PoolKey) -> None:
-        """Forget one verdict (deferred-verify eviction after a bad combine)."""
-        if self._verdicts.pop(key, None) is not None:
-            self.invalidations += 1
 
     # ------------------------------------------------------------------
     # Invalidation

@@ -41,12 +41,10 @@ class Network:
         scheduler: Scheduler,
         delay_model: Optional[DelayModel] = None,
         loss_model: Optional[LossModel] = None,
-        self_delivery_delay: float = 0.0,
     ) -> None:
         self.scheduler = scheduler
         self.delay_model = delay_model or SynchronousDelay()
         self.loss_model = loss_model or NoLoss()
-        self.self_delivery_delay = self_delivery_delay
         self._processes: dict[int, Process] = {}
         self._multicast_group: set[int] = set()
         #: Sorted snapshot of the multicast group, rebuilt on register so the
@@ -112,7 +110,7 @@ class Network:
             raise KeyError(f"unknown receiver {receiver}")
         if receiver == sender:
             self.scheduler.call_after(
-                self.self_delivery_delay,
+                0.0,
                 partial(target.deliver, sender, message),
                 label=f"self:{sender}",
             )

@@ -186,14 +186,8 @@ class ReliableNetwork(Network):
         delay_model: Optional[DelayModel] = None,
         loss_model: Optional[LossModel] = None,
         channel: Optional[ChannelConfig] = None,
-        self_delivery_delay: float = 0.0,
     ) -> None:
-        super().__init__(
-            scheduler,
-            delay_model=delay_model,
-            loss_model=loss_model,
-            self_delivery_delay=self_delivery_delay,
-        )
+        super().__init__(scheduler, delay_model=delay_model, loss_model=loss_model)
         self.channel = channel or ChannelConfig()
         self._channel_rng = scheduler.child_rng("reliable-channel")
         self._out: dict[tuple[int, int], _SenderLink] = {}

@@ -1,8 +1,8 @@
 """Cluster construction and experiment running.
 
 :class:`ClusterBuilder` assembles an n-replica cluster: dealer setup, the
-simulated network with a chosen delay model, per-replica mempools fed by a
-workload, optional Byzantine replicas, and a metrics collector.
+simulated network with a chosen delay model, per-replica mempools holding a
+preloaded backlog, optional Byzantine replicas, and a metrics collector.
 :class:`Cluster` drives the run (until a time bound, a commit count, or an
 arbitrary predicate) and exposes the pieces for inspection.
 """
@@ -26,9 +26,10 @@ from repro.net.reliable import ChannelConfig, ReliableNetwork
 from repro.runtime.metrics import MetricsCollector
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
+from repro.traffic.admission import AdmissionController
+from repro.traffic.loadgen import preload
 from repro.types.blocks import AnyBlock
 from repro.types.transactions import Transaction
-from repro.workloads.generator import Workload
 
 #: Factory producing a (possibly Byzantine) replica process.  Receives the
 #: same arguments as :class:`Replica`.
@@ -82,7 +83,7 @@ class Cluster:
         replicas: Sequence[Process],
         mempools: Sequence[Mempool],
         metrics: MetricsCollector,
-        workload: Optional[Workload],
+        preload: int,
         byzantine_ids: Sequence[int],
         clients: Sequence["Client"] = (),
         fault_schedule: Optional["FaultSchedule"] = None,
@@ -94,7 +95,8 @@ class Cluster:
         self.replicas = list(replicas)
         self.mempools = list(mempools)
         self.metrics = metrics
-        self.workload = workload
+        #: Transactions handed to every mempool when the cluster starts.
+        self.preload = preload
         self.clients = list(clients)
         self.byzantine_ids = list(byzantine_ids)
         self.honest_ids = [
@@ -102,7 +104,7 @@ class Cluster:
             for replica_id in range(config.n)
             if replica_id not in set(byzantine_ids)
         ]
-        self.schedule = LeaderSchedule(config.n, config.leader_rotation_interval)
+        self.schedule = LeaderSchedule(config.n)
         self.fault_schedule = fault_schedule
         #: (time, description) of every chaos event applied during the run.
         self.fault_log: list[tuple[float, str]] = []
@@ -171,11 +173,9 @@ class Cluster:
         if self._started:
             return
         self._started = True
-        if self.workload is not None:
-            notify = getattr(self.workload, "notify_committed", None)
-            if callable(notify):
-                self.metrics.commit_listeners.append(notify)
-            self.workload.start(self.scheduler)
+        preload(
+            AdmissionController(self.mempools).offer, self.preload, self.scheduler.now
+        )
         for process in self.replicas:
             process.on_start()
         for client in self.clients:
@@ -260,7 +260,6 @@ class ClusterBuilder:
         self._reliable_channels: Optional[bool] = None
         self._channel_config: Optional[ChannelConfig] = None
         self._fault_schedule: Optional["FaultSchedule"] = None
-        self._workload_factory: Optional[Callable[[list[Mempool]], Workload]] = None
         self._byzantine: dict[int, ReplicaFactory] = {}
         self._honest_factories: dict[int, ReplicaFactory] = {}
         self._state_machine_factory: Optional[Callable[[], StateMachine]] = None
@@ -268,7 +267,6 @@ class ClusterBuilder:
         self._client_count = 0
         self._client_kwargs: dict = {}
         self._cert_cache_enabled = True
-        self._share_pool_enabled = True
 
     # ------------------------------------------------------------------
     # Configuration
@@ -338,14 +336,12 @@ class ClusterBuilder:
         self._honest_factories[replica_id] = factory
         return self
 
-    def with_workload(
-        self, factory: Callable[[list[Mempool]], Workload]
-    ) -> "ClusterBuilder":
-        self._workload_factory = factory
-        return self
-
     def with_preload(self, count: int) -> "ClusterBuilder":
-        """Size of the default preloaded workload (ignored with a custom one)."""
+        """Transactions every mempool holds before the replicas start.
+
+        Any other load attaches a :mod:`repro.traffic.loadgen` generator
+        to the built cluster instead (build with ``with_preload(0)``).
+        """
         self._preload_transactions = count
         return self
 
@@ -372,15 +368,6 @@ class ClusterBuilder:
         pre-cache behavior) — the bypass mode the determinism tests compare
         against."""
         self._cert_cache_enabled = enabled
-        return self
-
-    def with_share_pool(self, enabled: bool) -> "ClusterBuilder":
-        """Toggle the cluster-wide verified-share pool.
-
-        Disabling it makes every replica re-verify every threshold/coin
-        share on arrival — the bypass mode the property tests compare
-        against."""
-        self._share_pool_enabled = enabled
         return self
 
     def with_clients(self, count: int, **client_kwargs) -> "ClusterBuilder":
@@ -421,7 +408,6 @@ class ClusterBuilder:
             config,
             coin_seed=self.seed,
             cert_cache_enabled=self._cert_cache_enabled,
-            share_pool_enabled=self._share_pool_enabled,
         )
         byzantine_ids = sorted(self._byzantine)
         metrics = MetricsCollector(
@@ -455,11 +441,6 @@ class ClusterBuilder:
             replicas.append(process)
             network.register(process)
 
-        if self._workload_factory is not None:
-            workload = self._workload_factory(mempools)
-        else:
-            workload = Workload(mempools, count=self._preload_transactions)
-
         clients = []
         if self._client_count:
             from repro.client.client import Client
@@ -488,7 +469,7 @@ class ClusterBuilder:
             replicas=replicas,
             mempools=mempools,
             metrics=metrics,
-            workload=workload,
+            preload=self._preload_transactions,
             byzantine_ids=byzantine_ids,
             clients=clients,
             fault_schedule=self._fault_schedule,

@@ -39,10 +39,11 @@ from repro.core.replica import Replica
 from repro.mempool.mempool import Mempool
 from repro.net.tcp import TcpTransport
 from repro.runtime.metrics import MetricsCollector
+from repro.traffic.admission import AdmissionController
+from repro.traffic.loadgen import preload
 from repro.types.messages import Proposal
 from repro.wire.codec import encode_message
 from repro.wire.framing import FRAME_HEADER_SIZE
-from repro.workloads.generator import Workload
 
 #: Filter signature: (sender, receiver, message) -> True to DROP.
 DropFilter = Callable[[int, int, object], bool]
@@ -147,6 +148,8 @@ class LiveNetwork:
         self.bytes_sent = 0
         self.messages_dropped = 0
         self.encode_failures = 0
+        #: Remote sends the transport refused (no route, backpressure, closed).
+        self.sends_refused = 0
 
     # -- topology ------------------------------------------------------
     def register(
@@ -190,14 +193,16 @@ class LiveNetwork:
         except Exception:
             self.encode_failures += 1
             return
-        self.messages_sent += 1
         size = FRAME_HEADER_SIZE + len(payload)
-        self.bytes_sent += size
         if self.metrics is not None:
             self.metrics.on_wire_send(
                 sender, receiver, message, self.scheduler.now, size
             )
-        self._transports[sender].send(receiver, payload)
+        if self._transports[sender].send(receiver, payload):
+            self.messages_sent += 1
+            self.bytes_sent += size
+        else:
+            self.sends_refused += 1
 
     def multicast(self, sender: int, message: object, include_self: bool = True) -> None:
         for receiver in self._group_sorted:
@@ -510,7 +515,7 @@ class LiveCluster:
             self.replicas.append(replica)
             self.network.register(replica, self.transports[replica_id])
 
-        Workload(mempools, count=self.preload).start(self.scheduler)
+        preload(AdmissionController(mempools).offer, self.preload, self.scheduler.now)
 
     # ------------------------------------------------------------------
     # Safety check

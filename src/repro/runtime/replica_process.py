@@ -38,9 +38,10 @@ from repro.runtime.metrics import MetricsCollector
 from repro.runtime.spec import ClusterSpec
 from repro.storage.durable import DurableReplica
 from repro.storage.journal import FileSafetyJournal
+from repro.traffic.admission import AdmissionController
+from repro.traffic.loadgen import preload
 from repro.wire.codec import encode_message
 from repro.wire.framing import FRAME_HEADER_SIZE
-from repro.workloads.generator import Workload
 
 #: How often the status file is refreshed (seconds).
 STATUS_INTERVAL = 0.15
@@ -210,10 +211,9 @@ class ReplicaProcess:
             journal=journal,
         )
         self.network.register(self.replica)
-        if spec.preload:
-            # Deterministic shared backlog: every process preloads the same
-            # transactions (dedup by tx_id keeps commits exactly-once).
-            Workload([mempool], count=spec.preload).start(self.scheduler)
+        # Deterministic shared backlog: every process preloads the same
+        # transactions (dedup by tx_id keeps commits exactly-once).
+        preload(AdmissionController([mempool]).offer, spec.preload, self.scheduler.now)
 
         loop = asyncio.get_running_loop()
         deadline = None if duration is None else loop.time() + duration

@@ -1,7 +1,6 @@
 """Load generators: seeded arrival schedules driving a transaction sink.
 
-This module replaces the ad-hoc per-benchmark client loops with one
-serving-stack-shaped pipeline::
+All client load goes through one serving-stack-shaped pipeline::
 
     ArrivalSchedule -> generator -> sink(transaction)
 
@@ -17,13 +16,16 @@ serving-stack-shaped pipeline::
   (:meth:`OpenLoopGenerator.run_wall_clock`);
 - :class:`ClosedLoopGenerator` keeps N transactions in flight and replaces
   each one as it completes (throughput tracks whatever the cluster
-  sustains).
+  sustains);
+- :func:`preload` hands a fixed backlog to the sink in one go, before any
+  replica starts — the only load a cluster host generates itself.
 
 The sink is any ``Callable[[Transaction], bool]`` — typically
 :meth:`repro.traffic.admission.AdmissionController.offer` — and a falsy
 return means the request was shed (counted by the generator as
-``rejected``).  The legacy :mod:`repro.workloads` generators are thin
-adapters over this module.
+``rejected``).  A cluster gets any other load by building with
+``with_preload(0)`` and starting a generator on its scheduler; a closed
+loop also joins ``metrics.commit_listeners``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,27 @@ Sink = Callable[[Transaction], object]
 
 #: Builds transaction ``index`` at time ``now`` (override to control ids).
 TransactionFactory = Callable[[int, float], Transaction]
+
+#: Builds the payload of preloaded transaction ``index``.
+PayloadFn = Callable[[int], str]
+
+
+def kv_payload(index: int) -> str:
+    """The default preload command: a KV ``set`` over 64 keys."""
+    return f"set key-{index % 64} value-0-{index}"
+
+
+def preload(
+    sink: Sink, count: int, now: float, payload: PayloadFn = kv_payload
+) -> None:
+    """Hand ``count`` client-0 transactions, all submitted at ``now``, to ``sink``.
+
+    Ids are ``tx-0-{index}`` and every transaction bills 100 payload bytes.
+    Call it before any replica's ``on_start`` so the backlog is there for
+    the first proposal.
+    """
+    for index in range(count):
+        sink(make_transaction(index, payload=payload(index), submitted_at=now))
 
 
 # ----------------------------------------------------------------------

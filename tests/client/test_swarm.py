@@ -5,9 +5,10 @@ import asyncio
 
 import pytest
 
-from repro.client.swarm import ClientSwarm, SwarmClient, percentile
+from repro.client.swarm import ClientSwarm, SwarmClient
 from repro.runtime.spec import ClusterSpec
 from repro.runtime.supervisor import Supervisor
+from repro.traffic.slo import percentile
 
 # ----------------------------------------------------------------------
 # Percentile math (linear interpolation)

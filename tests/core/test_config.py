@@ -31,10 +31,6 @@ def test_invalid_n_rejected(n):
 def test_validation_of_other_fields():
     with pytest.raises(ValueError):
         ProtocolConfig(round_timeout=0.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(timeout_multiplier=0.5)
-    with pytest.raises(ValueError):
-        ProtocolConfig(leader_rotation_interval=0)
 
 
 def test_variant_derived_parameters():
@@ -69,10 +65,3 @@ def test_adoption_override():
     )
     assert not config.adoption_enabled
 
-
-def test_timeout_backoff():
-    config = ProtocolConfig(round_timeout=2.0, timeout_multiplier=2.0)
-    assert config.timeout_for_view(0) == 2.0
-    assert config.timeout_for_view(2) == 8.0
-    flat = ProtocolConfig(round_timeout=2.0)
-    assert flat.timeout_for_view(5) == 2.0

@@ -201,8 +201,9 @@ def test_pooled_coin_verification_matches_direct(queries):
 
 
 def test_deferred_combine_recovers_after_eviction():
-    """The deferred-verify path: junk shares poison the tracker, combine
-    raises, evict_invalid clears them, honest arrivals re-reach quorum."""
+    """The combine sites' recovery path: junk shares poison the tracker,
+    combine raises, evict_invalid clears them, honest arrivals re-reach
+    quorum."""
     from repro.crypto.signatures import SignatureError
 
     setup, _ = _share_corpus()

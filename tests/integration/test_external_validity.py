@@ -11,6 +11,8 @@ from repro.core.config import ProtocolConfig
 from repro.core.replica import Replica
 from repro.experiments.scenarios import leader_attack_factory
 from repro.runtime.cluster import ClusterBuilder
+from repro.traffic.admission import AdmissionController
+from repro.traffic.loadgen import preload
 from repro.types.blocks import Block
 from repro.types.messages import Proposal
 from repro.types.transactions import Batch, make_transaction
@@ -41,25 +43,23 @@ class InvalidPayloadLeader(Replica):
         self.network.multicast(self.process_id, Proposal(block))
 
 
-def mixed_workload(mempools):
-    from repro.workloads.generator import Workload
-
-    return Workload(
-        mempools,
-        count=100,
-        payload_fn=lambda client, index: (
+def build_with_mixed_backlog(builder):
+    """Build with a 100-transaction backlog, every third one invalid."""
+    cluster = builder.with_preload(0).build()
+    preload(
+        AdmissionController(cluster.mempools).offer,
+        100,
+        cluster.scheduler.now,
+        payload=lambda index: (
             f"invalid {index}" if index % 3 == 0 else f"set key-{index} v{index}"
         ),
     )
+    return cluster
 
 
 def test_invalid_transactions_never_commit():
     config = ProtocolConfig(n=4, validity_predicate=valid_tx)
-    cluster = (
-        ClusterBuilder(config=config, seed=41)
-        .with_workload(mixed_workload)
-        .build()
-    )
+    cluster = build_with_mixed_backlog(ClusterBuilder(config=config, seed=41))
     cluster.run_until_commits(15, until=20_000)
     committed = [
         tx
@@ -89,11 +89,10 @@ def test_byzantine_leader_with_invalid_payloads_is_voted_down():
 
 def test_validity_enforced_on_fallback_chains_too():
     config = ProtocolConfig(n=4, validity_predicate=valid_tx)
-    cluster = (
-        ClusterBuilder(config=config, seed=47)
-        .with_workload(mixed_workload)
-        .with_delay_model_factory(leader_attack_factory())
-        .build()
+    cluster = build_with_mixed_backlog(
+        ClusterBuilder(config=config, seed=47).with_delay_model_factory(
+            leader_attack_factory()
+        )
     )
     cluster.run_until_commits(6, until=60_000)
     committed = [
@@ -106,11 +105,7 @@ def test_validity_enforced_on_fallback_chains_too():
 
 
 def test_no_predicate_means_everything_commits():
-    cluster = (
-        ClusterBuilder(n=4, seed=41)
-        .with_workload(mixed_workload)
-        .build()
-    )
+    cluster = build_with_mixed_backlog(ClusterBuilder(n=4, seed=41))
     cluster.run_until_commits(15, until=20_000)
     committed = cluster.honest_replicas()[0].ledger.committed_transactions()
     assert any(tx.payload.startswith("invalid") for tx in committed)

@@ -8,8 +8,9 @@ from repro.faults import SilentReplica, byzantine
 from repro.ledger.ledger import KVStateMachine
 from repro.net.conditions import SynchronousDelay
 from repro.runtime.cluster import ClusterBuilder
+from repro.traffic.admission import AdmissionController
+from repro.traffic.loadgen import OpenLoopGenerator, UniformArrivals
 from repro.types.transactions import make_transaction
-from repro.workloads.generator import Workload
 
 
 def test_build_wires_everything():
@@ -77,17 +78,26 @@ def test_change_network_mid_run():
     assert cluster.metrics.decisions() > before
 
 
-def test_custom_workload_factory():
-    captured = {}
-
-    def factory(mempools):
-        workload = Workload(mempools, count=3)
-        captured["workload"] = workload
-        return workload
-
-    cluster = ClusterBuilder(n=4, seed=1).with_workload(factory).build()
+def test_preload_fills_mempools_before_replicas_start():
+    cluster = ClusterBuilder(n=4, seed=1).with_preload(3).build()
+    sizes = []
+    first = cluster.replicas[0]
+    first.on_start = lambda: sizes.extend(len(pool) for pool in cluster.mempools)
     cluster.start()
-    assert len(captured["workload"].submitted) == 3
+    assert sizes == [3, 3, 3, 3]
+
+
+def test_generator_attaches_to_built_cluster():
+    cluster = ClusterBuilder(n=4, seed=1).with_preload(0).build()
+    generator = OpenLoopGenerator(
+        UniformArrivals(10.0),
+        AdmissionController(cluster.mempools).offer,
+        max_count=3,
+    )
+    generator.start(cluster.scheduler)
+    cluster.run_until_commits(5, until=1_000)
+    committed = cluster.honest_replicas()[0].ledger.committed_transactions()
+    assert [tx.tx_id for tx in committed] == ["tx-0-0", "tx-0-1", "tx-0-2"]
 
 
 def test_state_machine_factory():

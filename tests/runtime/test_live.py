@@ -11,7 +11,14 @@ import asyncio
 import pytest
 
 from repro.analysis.complexity import live_decision_costs
-from repro.runtime.live import LiveCluster, WallClockScheduler, WallClockTimer
+from repro.net.tcp import TcpTransport
+from repro.runtime.live import (
+    LiveCluster,
+    LiveNetwork,
+    WallClockScheduler,
+    WallClockTimer,
+)
+from repro.types.messages import BlockRequest
 
 
 # ----------------------------------------------------------------------
@@ -37,6 +44,31 @@ def test_wall_clock_scheduler_implements_timer_interface():
         assert -1 not in fired
 
     asyncio.run(go())
+
+
+# ----------------------------------------------------------------------
+# Send accounting
+# ----------------------------------------------------------------------
+def test_refused_send_is_counted_not_billed():
+    """A send the transport refuses (here: no route) is not a sent message."""
+
+    class Sink:
+        process_id = 0
+
+        def deliver(self, sender, message):
+            pass
+
+    async def go():
+        network = LiveNetwork(WallClockScheduler())
+        transport = TcpTransport(node_id=0, on_message=lambda peer, message: None)
+        network.register(Sink(), transport)
+        network.send(0, 1, BlockRequest(block_id="ab" * 16))
+        return network, transport
+
+    network, transport = asyncio.run(go())
+    assert transport.no_route == 1
+    assert (network.messages_sent, network.bytes_sent) == (0, 0)
+    assert network.sends_refused == 1
 
 
 # ----------------------------------------------------------------------
