@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.lint.engine import ParsedModule
 
 
 def under_prefix(name: str, prefixes: Iterable[str]) -> bool:
@@ -23,23 +26,20 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def import_map(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> imported dotted path, for top-level imports.
+def import_map(module: "ParsedModule") -> Dict[str, str]:
+    """Local name -> imported dotted path, for every import in the module.
 
     ``import time as t`` maps ``t -> time``; ``from datetime import
-    datetime`` maps ``datetime -> datetime.datetime``.  Only module-level
-    imports are tracked — that is where the banned modules are imported in
-    practice, and function-local import tricks are caught by review.
+    datetime`` maps ``datetime -> datetime.datetime``.  Imports inside
+    function bodies count too.  Rules read it as :attr:`ParsedModule.imports
+    <repro.lint.engine.ParsedModule.imports>`, computed once per module.
     """
     mapping: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in module.walk():
         if isinstance(node, ast.Import):
             for alias in node.names:
-                mapping[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-                if alias.asname:
-                    mapping[alias.asname] = alias.name
+                head = alias.name.split(".")[0]
+                mapping[alias.asname or head] = alias.name if alias.asname else head
         elif isinstance(node, ast.ImportFrom):
             if node.level or node.module is None:
                 continue  # relative imports are in-package, never stdlib
@@ -64,9 +64,11 @@ def resolve_call(imports: Dict[str, str], func: ast.AST) -> Optional[str]:
     return f"{resolved_head}.{rest}" if rest else resolved_head
 
 
-def iter_comprehension_iters(tree: ast.AST) -> Iterator[Tuple[ast.AST, ast.AST]]:
+def iter_comprehension_iters(
+    module: "ParsedModule",
+) -> Iterator[Tuple[ast.AST, ast.AST]]:
     """Yield ``(owner, iterable)`` for for-loops and comprehension clauses."""
-    for node in ast.walk(tree):
+    for node in module.walk():
         if isinstance(node, (ast.For, ast.AsyncFor)):
             yield node, node.iter
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -118,19 +120,19 @@ def is_set_expression(node: ast.AST) -> bool:
     return False
 
 
-def async_function_names(tree: ast.Module) -> set:
+def async_function_names(module: "ParsedModule") -> set:
     """Names of every ``async def`` in the module (functions and methods)."""
     return {
         node.name
-        for node in ast.walk(tree)
+        for node in module.walk()
         if isinstance(node, ast.AsyncFunctionDef)
     }
 
 
-def enclosing_async_spans(tree: ast.Module) -> List[Tuple[int, int]]:
+def enclosing_async_spans(module: "ParsedModule") -> List[Tuple[int, int]]:
     """(first, last) line spans of every async function body."""
     spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in module.walk():
         if isinstance(node, ast.AsyncFunctionDef):
             end = getattr(node, "end_lineno", node.lineno)
             spans.append((node.lineno, end or node.lineno))

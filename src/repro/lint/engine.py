@@ -4,7 +4,9 @@ The engine is deliberately small: it parses every Python file in the
 scanned roots exactly once into a :class:`ParsedModule` (source lines, AST,
 dotted module name, suppression pragmas), hands the modules to each
 registered :class:`Rule`, filters findings through per-line pragmas and
-renders the survivors as text or JSON.
+renders the survivors as text or JSON.  Each module is also walked once:
+rules and flow builders traverse a subtree with :meth:`ParsedModule.walk`,
+which keeps the node list of every subtree it has walked.
 
 Two rule shapes exist:
 
@@ -28,10 +30,13 @@ import ast
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Type,
 )
+
+from repro.lint.astutil import import_map
 
 if TYPE_CHECKING:
     from repro.lint.flow.project import Project
@@ -76,7 +81,7 @@ class Finding:
 
 
 class ParsedModule:
-    """One source file, parsed once and shared by every rule.
+    """One source file, parsed and walked once and shared by every rule.
 
     Attributes:
         module: dotted module name (``repro.core.safety``,
@@ -88,6 +93,8 @@ class ParsedModule:
         tree: the parsed ``ast.Module``.
         is_test: True for files under the tests root.
         skipped: True when a file-level skip pragma was found.
+        imports: local name -> imported dotted path
+            (:func:`~repro.lint.astutil.import_map`), computed on first use.
     """
 
     def __init__(
@@ -109,6 +116,8 @@ class ParsedModule:
         self.skipped = any(
             _SKIP_FILE_RE.search(line) for line in self.lines[:_SKIP_FILE_WINDOW]
         )
+        #: id(subtree root) -> its nodes in ``ast.walk`` order.
+        self._walks: Dict[int, List[ast.AST]] = {}
         #: line number -> suppressed rule ids; empty set means "all rules".
         self._ignores: Dict[int, set] = {}
         for number, line in enumerate(self.lines, start=1):
@@ -128,6 +137,27 @@ class ParsedModule:
         return cls(
             path.read_text(encoding="utf-8"), module, display, is_test=is_test
         )
+
+    def walk(self, node: Optional[ast.AST] = None) -> List[ast.AST]:
+        """The nodes of ``node``'s subtree (the module tree by default),
+        in :func:`ast.walk` order.
+
+        A subtree is walked on its first request and its list kept for
+        the module's lifetime, one lint pass, so rules and flow builders
+        share one traversal.  The key is ``id(node)``: the kept list
+        starts with ``node`` and so keeps it alive, and its id cannot be
+        reused.  Callers must not mutate the list.
+        """
+        if node is None:
+            node = self.tree
+        nodes = self._walks.get(id(node))
+        if nodes is None:
+            nodes = self._walks[id(node)] = list(ast.walk(node))
+        return nodes
+
+    @cached_property
+    def imports(self) -> Dict[str, str]:
+        return import_map(self)
 
     def suppresses(self, line: int, rule_id: str) -> bool:
         """True when ``line`` carries a pragma covering ``rule_id``."""

@@ -129,6 +129,8 @@ class CallGraph:
     def __init__(self) -> None:
         self.functions: Dict[str, FunctionNode] = {}
         self.classes: Dict[str, ClassNode] = {}
+        #: dotted module name -> the parsed module it was built from.
+        self.modules: Dict[str, ParsedModule] = {}
         #: module -> local name -> imported dotted path (every import in
         #: the module, function-local ones included).
         self.imports: Dict[str, Dict[str, str]] = {}
@@ -220,15 +222,15 @@ class CallGraph:
 def _module_imports(module: ParsedModule) -> Dict[str, str]:
     """Local name -> imported dotted path, everywhere in the module.
 
-    Unlike :func:`repro.lint.astutil.import_map` this walks function
-    bodies and ``TYPE_CHECKING`` blocks too: the replica imports its
-    view-change engines inside ``__init__`` to break a module cycle, and
-    those are exactly the types the resolver needs.  Relative imports are
-    resolved against the module's own package.
+    Function bodies and ``TYPE_CHECKING`` blocks count: the replica
+    imports its view-change engines inside ``__init__`` to break a module
+    cycle, and those are exactly the types the resolver needs.  Unlike
+    :func:`repro.lint.astutil.import_map`, relative imports are resolved
+    against the module's own package.
     """
     mapping: Dict[str, str] = {}
     package_parts = module.module.split(".")
-    for node in ast.walk(module.tree):
+    for node in module.walk():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 mapping[alias.asname or alias.name.split(".")[0]] = (
@@ -318,6 +320,7 @@ def build_call_graph(modules: Sequence[ParsedModule]) -> CallGraph:
             continue
         context = _ModuleContext(module)
         contexts.append(context)
+        graph.modules.setdefault(module.module, module)
         graph.imports.setdefault(module.module, context.imports)
         for node in module.tree.body:
             if isinstance(node, ast.ClassDef):
@@ -436,7 +439,7 @@ def _infer_attr_types(
     """Record ``self.<attr>`` types visible in one method."""
     class_node = graph.classes[f"{context.module.module}.{class_def.name}"]
     param_types = _param_types(graph, context, func)
-    for node in ast.walk(func):
+    for node in context.module.walk(func):
         target: Optional[ast.AST] = None
         value: Optional[ast.AST] = None
         annotation: Optional[ast.AST] = None
@@ -497,7 +500,7 @@ def _resolve_calls(
     param_types = _param_types(graph, context, func)
     #: local variable -> class qualname (``engine = FallbackEngine(...)``).
     local_types: Dict[str, str] = dict(param_types)
-    for stmt in ast.walk(func):
+    for stmt in context.module.walk(func):
         if (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
@@ -508,7 +511,7 @@ def _resolve_calls(
             if constructed is not None and constructed in graph.classes:
                 local_types[stmt.targets[0].id] = constructed
 
-    for call in ast.walk(func):
+    for call in context.module.walk(func):
         if not isinstance(call, ast.Call):
             continue
         target = _resolve_call_target(graph, context, node, call.func, local_types)

@@ -204,7 +204,7 @@ class PersistenceIndex:
         for qualname, node in self.graph.functions.items():
             if node.class_name is None:
                 continue
-            for stmt in ast.walk(node.node):
+            for stmt in self.graph.modules[node.module].walk(node.node):
                 if not (
                     isinstance(stmt, ast.Assign)
                     and len(stmt.targets) == 1
@@ -458,6 +458,7 @@ class _StreamWalker(EvalOrderWalker):
         self.index = index
         self.node = node
         self.fp = fp
+        self.module = index.graph.modules[node.module]
         self.imports = index.graph.imports.get(node.module, {})
 
     # -- event emission -------------------------------------------------
@@ -591,12 +592,11 @@ class _StreamWalker(EvalOrderWalker):
             return mode_node.value
         return None
 
-    @staticmethod
-    def _target_kind(target: Optional[ast.AST]) -> str:
+    def _target_kind(self, target: Optional[ast.AST]) -> str:
         """``tmp`` when the write target names a staging file, else ``plain``."""
         if target is None:
             return "plain"
-        for node in ast.walk(target):
+        for node in self.module.walk(target):
             text: Optional[str] = None
             if isinstance(node, ast.Name):
                 text = node.id

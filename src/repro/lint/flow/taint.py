@@ -144,6 +144,7 @@ class _FunctionAnalyzer:
         self.engine = engine
         self.graph = engine.graph
         self.node = node
+        self.module = engine.graph.modules[node.module]
         #: variable -> origin paths it carries.
         self.env: Dict[str, Set[str]] = {p: {p} for p in node.params}
         #: origin paths vouched for by a sanitizer so far.
@@ -300,7 +301,7 @@ class _FunctionAnalyzer:
             if isinstance(child, (ast.expr, ast.comprehension, ast.keyword)):
                 origins |= self.eval(child)
             elif isinstance(child, ast.AST):
-                for grandchild in ast.walk(child):
+                for grandchild in self.module.walk(child):
                     if isinstance(grandchild, ast.expr):
                         origins |= self.eval(grandchild)
                         break

@@ -24,10 +24,10 @@ from typing import Iterator
 from repro.lint.astutil import (
     async_function_names,
     enclosing_async_spans,
-    import_map,
     resolve_call,
 )
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
+from repro.lint.rules.scopes import imports_asyncio
 
 _TASK_SPAWNERS = ("create_task", "ensure_future")
 
@@ -51,17 +51,17 @@ class AsyncioHygieneRule(Rule):
     def applies_to(self, module: ParsedModule) -> bool:
         if module.is_test or not module.module.startswith("repro"):
             return False
-        return "asyncio" in import_map(module.tree).values()
+        return imports_asyncio(module)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        imports = import_map(module.tree)
-        async_names = async_function_names(module.tree)
-        async_spans = enclosing_async_spans(module.tree)
+        imports = module.imports
+        async_names = async_function_names(module)
+        async_spans = enclosing_async_spans(module)
 
         def inside_async(line: int) -> bool:
             return any(first <= line <= last for first, last in async_spans)
 
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
                 continue
             call = node.value
@@ -83,7 +83,7 @@ class AsyncioHygieneRule(Rule):
                     "runs (bare call only builds the coroutine object)",
                 )
 
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, ast.Call):
                 continue
             resolved = resolve_call(imports, node.func)

@@ -29,11 +29,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from repro.lint.astutil import import_map
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
 from repro.lint.flow.callgraph import _attribute_chain
 from repro.lint.flow.base import iter_own_body
-from repro.lint.rules.scopes import in_runtime_scope
+from repro.lint.rules.scopes import imports_asyncio, in_runtime_scope
 
 _CANCELLED_TAILS = ("CancelledError", "BaseException")
 
@@ -58,10 +57,10 @@ class CancellationSafetyRule(Rule):
     def applies_to(self, module: ParsedModule) -> bool:
         if module.is_test or not in_runtime_scope(module.module):
             return False
-        return "asyncio" in import_map(module.tree).values()
+        return imports_asyncio(module)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for function in ast.walk(module.tree):
+        for function in module.walk():
             if not isinstance(function, ast.AsyncFunctionDef):
                 continue
             tries = [
@@ -84,7 +83,7 @@ class CancellationSafetyRule(Rule):
                 if any(
                     isinstance(item, ast.Raise)
                     for body_item in handler.body
-                    for item in ast.walk(body_item)
+                    for item in module.walk(body_item)
                 ):
                     continue  # (conditional) re-raise present
                 yield self.finding(
@@ -106,10 +105,10 @@ class CancellationSafetyRule(Rule):
         guarded = _guarded_spans(tries)
         for try_node in tries:
             for statement in try_node.finalbody:
-                for item in ast.walk(statement):
+                for item in module.walk(statement):
                     if not isinstance(item, ast.Await):
                         continue
-                    if _is_shielded(item.value):
+                    if _is_shielded(module, item.value):
                         continue
                     if any(
                         first <= item.lineno <= last for first, last in guarded
@@ -143,9 +142,9 @@ def _cancellation_catcher(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
-def _is_shielded(value: ast.AST) -> bool:
+def _is_shielded(module: ParsedModule, value: ast.AST) -> bool:
     """The awaited expression runs under asyncio.shield somewhere."""
-    for item in ast.walk(value):
+    for item in module.walk(value):
         if isinstance(item, ast.Call):
             chain = _attribute_chain(item.func)
             if chain and chain[-1] == "shield":

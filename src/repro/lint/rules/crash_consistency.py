@@ -241,7 +241,7 @@ class _CoverageSubjects:
     def collect(cls, project: Sequence[ParsedModule]) -> "_CoverageSubjects":
         subjects = cls()
         for module in project:
-            for node in ast.walk(module.tree):
+            for node in module.walk():
                 if isinstance(node, ast.ClassDef) and node.name == "SafetySnapshot":
                     subjects.snapshot_fields = frozenset(
                         item.target.id
@@ -251,28 +251,30 @@ class _CoverageSubjects:
                     )
                 elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if node.name == "snapshot_to_dict":
-                        subjects.to_dict = (module, node, cls._dict_keys(node))
+                        subjects.to_dict = (module, node, cls._dict_keys(module, node))
                     elif node.name == "snapshot_from_dict":
                         subjects.from_dict = (
                             module,
                             node,
-                            cls._constructor_kwargs(node),
+                            cls._constructor_kwargs(module, node),
                         )
                     elif node.name == "_persist":
                         subjects.persist = (
                             module,
                             node,
-                            cls._constructor_kwargs(node)
-                            | cls._snapshot_stores(node),
+                            cls._constructor_kwargs(module, node)
+                            | cls._snapshot_stores(module, node),
                         )
                     elif node.name == "_restore":
-                        subjects.restore = (module, node, cls._snapshot_reads(node))
+                        subjects.restore = (
+                            module, node, cls._snapshot_reads(module, node)
+                        )
         return subjects
 
     @staticmethod
-    def _dict_keys(node: ast.AST) -> Set[str]:
+    def _dict_keys(module: ParsedModule, node: ast.AST) -> Set[str]:
         keys: Set[str] = set()
-        for item in ast.walk(node):
+        for item in module.walk(node):
             if isinstance(item, ast.Dict):
                 keys.update(
                     key.value
@@ -282,9 +284,9 @@ class _CoverageSubjects:
         return keys
 
     @staticmethod
-    def _constructor_kwargs(node: ast.AST) -> Set[str]:
+    def _constructor_kwargs(module: ParsedModule, node: ast.AST) -> Set[str]:
         kwargs: Set[str] = set()
-        for item in ast.walk(node):
+        for item in module.walk(node):
             if not isinstance(item, ast.Call):
                 continue
             chain = _attribute_chain(item.func)
@@ -297,9 +299,9 @@ class _CoverageSubjects:
         return kwargs
 
     @staticmethod
-    def _snapshot_stores(node: ast.AST) -> Set[str]:
+    def _snapshot_stores(module: ParsedModule, node: ast.AST) -> Set[str]:
         stores: Set[str] = set()
-        for item in ast.walk(node):
+        for item in module.walk(node):
             if (
                 isinstance(item, ast.Attribute)
                 and isinstance(item.ctx, ast.Store)
@@ -310,9 +312,9 @@ class _CoverageSubjects:
         return stores
 
     @staticmethod
-    def _snapshot_reads(node: ast.AST) -> Set[str]:
+    def _snapshot_reads(module: ParsedModule, node: ast.AST) -> Set[str]:
         reads: Set[str] = set()
-        for item in ast.walk(node):
+        for item in module.walk(node):
             if (
                 isinstance(item, ast.Attribute)
                 and isinstance(item.ctx, ast.Load)
@@ -416,7 +418,7 @@ class MonotonicRestoreRule(Rule):
         return not module.is_test and module.module.startswith("repro.storage")
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for func in ast.walk(module.tree):
+        for func in module.walk():
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             snapshot_params = {
@@ -427,7 +429,7 @@ class MonotonicRestoreRule(Rule):
             }
             if not snapshot_params:
                 continue
-            for stmt in ast.walk(func):
+            for stmt in module.walk(func):
                 if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
                     continue
                 target = stmt.targets[0]

@@ -18,7 +18,6 @@ import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.lint.astutil import (
-    import_map,
     is_set_expression,
     iter_comprehension_iters,
     resolve_call,
@@ -108,8 +107,8 @@ class WallClockRule(_DeterministicScopeRule):
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        imports = import_map(module.tree)
-        for node in ast.walk(module.tree):
+        imports = module.imports
+        for node in module.walk():
             if not isinstance(node, ast.Call):
                 continue
             resolved = resolve_call(imports, node.func)
@@ -136,8 +135,8 @@ class UnseededRandomRule(_DeterministicScopeRule):
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        imports = import_map(module.tree)
-        for node in ast.walk(module.tree):
+        imports = module.imports
+        for node in module.walk():
             if not isinstance(node, ast.Call):
                 continue
             resolved = resolve_call(imports, node.func)
@@ -182,8 +181,8 @@ class UnorderedIterationRule(_DeterministicScopeRule):
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        set_valued = self._set_valued_names(module.tree)
-        for owner, iterable in iter_comprehension_iters(module.tree):
+        set_valued = self._set_valued_names(module)
+        for owner, iterable in iter_comprehension_iters(module):
             if self._is_unordered(iterable, set_valued):
                 yield self.finding(
                     module,
@@ -191,7 +190,7 @@ class UnorderedIterationRule(_DeterministicScopeRule):
                     "iteration over a set has no deterministic order; wrap "
                     "the iterable in sorted(...) or keep an ordered mirror",
                 )
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, ast.Call):
                 continue
             if (
@@ -232,7 +231,7 @@ class UnorderedIterationRule(_DeterministicScopeRule):
             return ("self", node.attr) in set_valued
         return False
 
-    def _set_valued_names(self, tree: ast.Module) -> Set[Tuple[str, ...]]:
+    def _set_valued_names(self, module: ParsedModule) -> Set[Tuple[str, ...]]:
         """Names assigned a syntactic set anywhere in the module.
 
         Tracks plain locals (``seen = set()``) and ``self.<attr>`` slots.
@@ -241,7 +240,7 @@ class UnorderedIterationRule(_DeterministicScopeRule):
         be a false positive.
         """
         assigned: Dict[Tuple[str, ...], bool] = {}
-        for node in ast.walk(tree):
+        for node in module.walk():
             targets: List[ast.AST] = []
             value = None
             if isinstance(node, ast.Assign):

@@ -51,10 +51,10 @@ def _message_classes(module: ParsedModule) -> Dict[str, ast.ClassDef]:
     }
 
 
-def _isinstance_names(func: ast.AST) -> Set[str]:
+def _isinstance_names(module: ParsedModule, func: ast.AST) -> Set[str]:
     """Class names tested by ``isinstance(x, ...)`` inside one function."""
     names: Set[str] = set()
-    for node in ast.walk(func):
+    for node in module.walk(func):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -105,7 +105,8 @@ class DispatchExhaustiveRule(ProjectRule):
             return  # no dispatch chain in scope (fixture run)
         matched: Set[str] = set()
         for qualname in graph.reachable_from(sorted(roots)):
-            matched |= _isinstance_names(graph.functions[qualname].node)
+            function = graph.functions[qualname]
+            matched |= _isinstance_names(graph.modules[function.module], function.node)
         for name, node in sorted(_message_classes(messages).items()):
             if name not in matched:
                 yield self.finding(

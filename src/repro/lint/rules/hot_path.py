@@ -70,7 +70,7 @@ class HotPathRule(Rule):
         return under_prefix(module.module, HOT_PATH_PREFIXES)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, ast.ClassDef):
                 continue
             base_names = {

@@ -42,24 +42,24 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _uses_allowed_threshold(node: ast.AST) -> bool:
-    for child in ast.walk(node):
+def _uses_allowed_threshold(module: ParsedModule, node: ast.AST) -> bool:
+    for child in module.walk(node):
         name = _terminal_name(child)
         if name in ALLOWED_THRESHOLDS:
             return True
     return False
 
 
-def _offending_threshold(node: ast.AST) -> Optional[str]:
+def _offending_threshold(module: ParsedModule, node: ast.AST) -> Optional[str]:
     """Describe why a comparator is a hand-rolled quorum, or None."""
-    if _uses_allowed_threshold(node):
+    if _uses_allowed_threshold(module, node):
         return None
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
         if node.value >= 2 and not isinstance(node.value, bool):
             return f"literal {node.value}"
         return None
     if isinstance(node, ast.BinOp):
-        for child in ast.walk(node):
+        for child in module.walk(node):
             name = _terminal_name(child)
             if name in FAULT_PARAM_NAMES:
                 return "arithmetic over f/n"
@@ -86,7 +86,7 @@ class QuorumLiteralRule(Rule):
         return not module.is_test and module.module.startswith("repro.core")
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -94,7 +94,7 @@ class QuorumLiteralRule(Rule):
                 for len_side, other in ((first, second), (second, first)):
                     if not _is_len_call(len_side):
                         continue
-                    why = _offending_threshold(other)
+                    why = _offending_threshold(module, other)
                     if why is not None:
                         yield self.finding(
                             module,

@@ -56,7 +56,7 @@ class SafetyStateRule(Rule):
         return not module.is_test and module.module.startswith("repro")
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             targets: List[ast.AST] = []
             if isinstance(node, ast.Assign):
                 targets = list(node.targets)

@@ -41,10 +41,10 @@ def _is_broad(type_node: ast.AST) -> bool:
     return False
 
 
-def _discards_error(handler: ast.ExceptHandler) -> bool:
+def _discards_error(module: ParsedModule, handler: ast.ExceptHandler) -> bool:
     """True when the handler neither re-raises nor touches the exception."""
     for node in handler.body:
-        for child in ast.walk(node):
+        for child in module.walk(node):
             if isinstance(child, ast.Raise):
                 return False
             if (
@@ -76,11 +76,11 @@ class SwallowedExceptionRule(Rule):
         return not module.is_test and module.module.startswith(SCOPE_PREFIXES)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, ast.Try):
                 continue
             for handler in node.handlers:
-                if _is_broad(handler.type) and _discards_error(handler):
+                if _is_broad(handler.type) and _discards_error(module, handler):
                     label = (
                         "bare except"
                         if handler.type is None

@@ -24,10 +24,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.lint.astutil import import_map
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
 from repro.lint.flow.callgraph import _attribute_chain
-from repro.lint.rules.scopes import in_runtime_scope
+from repro.lint.rules.scopes import imports_asyncio, in_runtime_scope
 
 _TASK_SPAWNERS = ("create_task", "ensure_future")
 _JOINERS = ("gather", "wait", "wait_for", "shield")
@@ -54,14 +53,14 @@ class TaskLifecycleRule(Rule):
     def applies_to(self, module: ParsedModule) -> bool:
         if module.is_test or not in_runtime_scope(module.module):
             return False
-        return "asyncio" in import_map(module.tree).values()
+        return imports_asyncio(module)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         parents: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(module.tree):
+        for parent in module.walk():
             for child in ast.iter_child_nodes(parent):
                 parents[child] = parent
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, ast.Call):
                 continue
             chain = _attribute_chain(node.func)
@@ -69,7 +68,7 @@ class TaskLifecycleRule(Rule):
                 continue
             kind, name = _classify_retention(node, parents)
             if kind == "attr":
-                if not _attr_has_lifecycle_use(module.tree, name):
+                if not _attr_has_lifecycle_use(module, name):
                     yield self.finding(
                         module,
                         node,
@@ -81,7 +80,7 @@ class TaskLifecycleRule(Rule):
             elif kind == "local":
                 function = _enclosing_function(node, parents)
                 if function is not None and not _local_reused(
-                    function, name, node
+                    module, function, name, node
                 ):
                     yield self.finding(
                         module,
@@ -136,37 +135,37 @@ def _classify_retention(
         current = parent
 
 
-def _attr_has_lifecycle_use(tree: ast.Module, attr: Optional[str]) -> bool:
+def _attr_has_lifecycle_use(module: ParsedModule, attr: Optional[str]) -> bool:
     """Is attribute ``attr`` joined/cancelled/moved anywhere in the module?"""
     if attr is None:
         return True
-    for node in ast.walk(tree):
+    for node in module.walk():
         if isinstance(node, ast.Await):
-            if _subtree_loads_attr(node.value, attr):
+            if _subtree_loads_attr(module, node.value, attr):
                 return True
         elif isinstance(node, ast.Call):
             chain = _attribute_chain(node.func)
             if chain and chain[-1] in _LIFECYCLE_METHODS:
                 if isinstance(node.func, ast.Attribute) and _subtree_loads_attr(
-                    node.func.value, attr
+                    module, node.func.value, attr
                 ):
                     return True
             if chain and chain[-1] in _JOINERS:
                 for arg in node.args:
-                    if _subtree_loads_attr(arg, attr):
+                    if _subtree_loads_attr(module, arg, attr):
                         return True
         elif isinstance(node, ast.Assign):
-            if _subtree_loads_attr(node.value, attr):
+            if _subtree_loads_attr(module, node.value, attr):
                 return True
     return False
 
 
-def _subtree_loads_attr(node: ast.AST, attr: str) -> bool:
+def _subtree_loads_attr(module: ParsedModule, node: ast.AST, attr: str) -> bool:
     return any(
         isinstance(item, ast.Attribute)
         and item.attr == attr
         and isinstance(item.ctx, ast.Load)
-        for item in ast.walk(node)
+        for item in module.walk(node)
     )
 
 
@@ -181,12 +180,14 @@ def _enclosing_function(
     return None
 
 
-def _local_reused(function: ast.AST, name: Optional[str], spawn: ast.Call) -> bool:
+def _local_reused(
+    module: ParsedModule, function: ast.AST, name: Optional[str], spawn: ast.Call
+) -> bool:
     """Any use of local ``name`` besides the spawning statement itself."""
     if name is None:
         return True
     spawn_line = spawn.lineno
-    for item in ast.walk(function):
+    for item in module.walk(function):
         if (
             isinstance(item, ast.Name)
             and item.id == name

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple
 
-from repro.lint.astutil import import_map, resolve_call
+from repro.lint.astutil import resolve_call
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
 from repro.lint.flow.callgraph import _attribute_chain
 from repro.lint.rules.scopes import in_runtime_scope
@@ -58,9 +58,9 @@ class UnboundedQueueRule(Rule):
         return not module.is_test and in_runtime_scope(module.module)
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        imports = import_map(module.tree)
-        handled = _queue_full_spans(module.tree)
-        for node in ast.walk(module.tree):
+        imports = module.imports
+        handled = _queue_full_spans(module)
+        for node in module.walk():
             if not isinstance(node, ast.Call):
                 continue
             resolved = resolve_call(imports, node.func) or ""
@@ -113,10 +113,10 @@ def _has_bound(node: ast.Call, resolved: str, bound: str) -> bool:
     return False
 
 
-def _queue_full_spans(tree: ast.Module) -> List[Tuple[int, int]]:
+def _queue_full_spans(module: ParsedModule) -> List[Tuple[int, int]]:
     """Body spans of try statements with a QueueFull/Full handler."""
     spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in module.walk():
         if not isinstance(node, ast.Try) or not node.body:
             continue
         for handler in node.handlers:

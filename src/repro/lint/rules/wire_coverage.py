@@ -88,7 +88,7 @@ def _find(
 def _message_classes(messages: ParsedModule) -> Dict[str, ast.ClassDef]:
     """Concrete Message subclasses declared in types/messages.py."""
     found: Dict[str, ast.ClassDef] = {}
-    for node in ast.walk(messages.tree):
+    for node in messages.walk():
         if not isinstance(node, ast.ClassDef):
             continue
         bases = {base.id for base in node.bases if isinstance(base, ast.Name)}
@@ -106,7 +106,7 @@ def _registered_names(codec: ParsedModule) -> Set[str]:
     count too.
     """
     names: Set[str] = set()
-    for node in ast.walk(codec.tree):
+    for node in codec.walk():
         if isinstance(node, ast.Assign):
             targets: List[str] = [
                 target.id

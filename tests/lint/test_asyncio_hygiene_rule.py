@@ -239,3 +239,22 @@ def test_swarm_module_wall_clock_reads_are_clean():
         "repro.client.swarm",
     )
     assert run_rule(AsyncioHygieneRule, module) == []
+
+
+def test_from_asyncio_import_spelling_is_covered():
+    """``from asyncio import ...`` gates the rule in just as
+    ``import asyncio`` does."""
+    module = mod(
+        """
+        from asyncio import create_task, get_event_loop
+
+        async def serve(handler):
+            create_task(handler())
+            return get_event_loop()
+        """,
+        "repro.net.tcp",
+    )
+    findings = run_rule(AsyncioHygieneRule, module)
+    assert len(findings) == 2
+    assert "create_task" in findings[0].message
+    assert "get_event_loop" in findings[1].message

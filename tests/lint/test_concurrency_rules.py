@@ -258,6 +258,21 @@ def test_task_lifecycle_flags_attribute_never_joined():
     assert ".task" in findings[0].message
 
 
+
+def test_task_lifecycle_covers_from_asyncio_import_spelling():
+    findings = run_rule(TaskLifecycleRule, mod(
+        """
+        from asyncio import create_task
+
+        class Node:
+            def start(self):
+                self.task = create_task(work())
+        """,
+        "repro.runtime.fx",
+    ))
+    assert [f.rule for f in findings] == ["task-lifecycle"]
+    assert ".task" in findings[0].message
+
 def test_task_lifecycle_accepts_attribute_cancelled_on_shutdown():
     findings = run_rule(TaskLifecycleRule, mod(
         """
@@ -345,6 +360,24 @@ def test_cancellation_safety_flags_swallowed_cancellation():
     assert [f.rule for f in findings] == ["cancellation-safety"]
     assert "swallows" in findings[0].message
 
+
+
+def test_cancellation_safety_covers_from_asyncio_import_spelling():
+    findings = run_rule(CancellationSafetyRule, mod(
+        """
+        from asyncio import CancelledError
+
+        class Node:
+            async def close(self):
+                try:
+                    await self.task
+                except CancelledError:
+                    pass
+        """,
+        "repro.runtime.fx",
+    ))
+    assert [f.rule for f in findings] == ["cancellation-safety"]
+    assert "swallows" in findings[0].message
 
 def test_cancellation_safety_flags_bare_except_in_async():
     findings = run_rule(CancellationSafetyRule, mod(

@@ -1,5 +1,6 @@
 """Determinism rules: wall clocks, unseeded randomness, unordered iteration."""
 
+from repro.lint.astutil import resolve_call
 from repro.lint.rules.determinism import (
     UnorderedIterationRule,
     UnseededRandomRule,
@@ -55,6 +56,21 @@ def test_wall_clock_resolves_aliases_and_from_imports():
     findings = run_rule(WallClockRule, module)
     assert len(findings) == 2
 
+
+
+def test_import_map_tracks_function_local_imports():
+    module = mod(
+        """
+        def stamp():
+            import time as t
+            return t.time()
+        """,
+        "repro.core.replica",
+    )
+    call = module.tree.body[0].body[1].value
+    assert resolve_call(module.imports, call.func) == "time.time"
+    findings = run_rule(WallClockRule, module)
+    assert [f.line for f in findings] == [4]
 
 def test_wall_clock_allows_live_side_and_analysis_code():
     source = """
