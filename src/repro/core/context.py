@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.crypto.certcache import VerifiedCertCache
 from repro.crypto.coin import CoinShare, CommonCoin
 from repro.crypto.keys import KeyPair, Registry
-from repro.crypto.sharepool import VerifiedSharePool
 from repro.crypto.threshold import (
     ThresholdScheme,
     ThresholdSignature,
     ThresholdSignatureShare,
 )
+from repro.crypto.verdicts import VerdictCache
 from repro.types.certificates import CoinQC
 
 
@@ -33,15 +32,15 @@ class SharedSetup:
     registry: Registry
     quorum_scheme: ThresholdScheme
     coin: CommonCoin
-    #: Cluster-wide verification-verdict cache (a verification is a pure
-    #: function of certificate content + key epoch, so one replica's
-    #: verdict holds for all).  ``None`` disables caching entirely.
-    cert_cache: Optional[VerifiedCertCache] = None
-    #: Cluster-wide share-verification pool: each (signer, payload) share
-    #: is hash-verified at most once across all n replicas; re-checks —
-    #: including the per-share re-verification inside ``combine()`` — are
-    #: dictionary lookups.  ``None`` disables pooling entirely.
-    share_pool: Optional[VerifiedSharePool] = None
+    #: Cluster-wide certificate verdicts (a verification is a pure function
+    #: of certificate content + key epoch, so one replica's verdict holds
+    #: for all).  ``None`` disables caching entirely.
+    cert_cache: Optional[VerdictCache] = None
+    #: Cluster-wide share verdicts: each (signer, payload) share is
+    #: hash-verified once across all n replicas; re-checks, including the
+    #: per-share re-verification inside ``combine()``, are dictionary
+    #: lookups.  ``None`` disables pooling entirely.
+    share_pool: Optional[VerdictCache] = None
 
     @classmethod
     def deal(
@@ -51,8 +50,8 @@ class SharedSetup:
         cert_cache_enabled: bool = True,
     ) -> "SharedSetup":
         registry = Registry(config.n)
-        cert_cache = VerifiedCertCache(enabled=cert_cache_enabled)
-        share_pool = VerifiedSharePool()
+        cert_cache = VerdictCache(enabled=cert_cache_enabled)
+        share_pool = VerdictCache()
         registry.add_epoch_listener(cert_cache.on_epoch_change)
         registry.add_epoch_listener(share_pool.on_epoch_change)
         return cls(
@@ -88,11 +87,11 @@ class CryptoContext:
         return self.setup.coin
 
     @property
-    def cert_cache(self) -> Optional[VerifiedCertCache]:
+    def cert_cache(self) -> Optional[VerdictCache]:
         return self.setup.cert_cache
 
     @property
-    def share_pool(self) -> Optional[VerifiedSharePool]:
+    def share_pool(self) -> Optional[VerdictCache]:
         return self.setup.share_pool
 
     @property
@@ -112,16 +111,10 @@ class CryptoContext:
         if pool is None:
             return self.scheme.verify_share(share, payload)
         try:
-            key = (
-                self.setup.registry.epoch,
-                "tshare",
-                share.signer,
-                share.epoch,
-                share.tag,
-                payload,
-            )
             return pool.check(
-                key, lambda: self.scheme.verify_share(share, payload)
+                ("tshare", share.signer, share.epoch, share.tag, payload),
+                self.setup.registry.epoch,
+                lambda: self.scheme.verify_share(share, payload),
             )
         except TypeError:  # unhashable payload — verify directly
             return self.scheme.verify_share(share, payload)
@@ -145,15 +138,11 @@ class CryptoContext:
         pool = self.setup.share_pool
         if pool is None:
             return self.coin.verify_share(share)
-        key = (
+        return pool.check(
+            ("coinshare", share.signer, share.epoch, share.view, share.tag),
             self.setup.registry.epoch,
-            "coinshare",
-            share.signer,
-            share.epoch,
-            share.view,
-            share.tag,
+            lambda: self.coin.verify_share(share),
         )
-        return pool.check(key, lambda: self.coin.verify_share(share))
 
     def reveal_coin(self, shares: Iterable[CoinShare], view: int) -> CoinQC:
         leader = self.coin.reveal(

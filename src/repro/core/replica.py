@@ -156,12 +156,12 @@ class Replica(Process):
 
         # Vote aggregation (as the next round's leader), keyed
         # ("vote", block_id, round, view); incremental trackers give O(1)
-        # quorum checks instead of per-arrival bucket re-scans.
+        # quorum checks instead of per-arrival bucket re-scans.  A key whose
+        # QC has formed maps to None, so later votes for it are ignored.
         self._vote_shares: dict[
             tuple[str, str, int, int],
-            ShareQuorumTracker[ThresholdSignatureShare],
+            Optional[ShareQuorumTracker[ThresholdSignatureShare]],
         ] = {}
-        self._formed_qcs: set[tuple[str, str, int, int]] = set()
 
         # Proposals made, keyed (view, round): the leader proposes once.
         self._proposed: set[tuple[int, int]] = set()
@@ -365,10 +365,12 @@ class Replica(Process):
         if not self.crypto.verify_share(share, payload):
             return
         key = payload
-        if key in self._formed_qcs:
-            return
+        if message.round < self._vote_horizon():
+            return  # pruned: a late vote must not form an old QC again
         tracker = self._vote_shares.get(key)
         if tracker is None:
+            if key in self._vote_shares:
+                return  # QC already formed
             tracker = ShareQuorumTracker(self.config.n, self.quorum)
             self._vote_shares[key] = tracker
         tracker.add(sender, share)
@@ -386,8 +388,7 @@ class Replica(Process):
                 view=message.view,
                 signature=signature,
             )
-            self._formed_qcs.add(key)
-            del self._vote_shares[key]
+            self._vote_shares[key] = None
             self.process_certificate(qc)
 
     # ------------------------------------------------------------------
@@ -660,9 +661,13 @@ class Replica(Process):
                 return batch
             self.mempool.mark_committed(invalid)  # drop, never propose
 
+    def _vote_horizon(self) -> int:
+        """Votes for rounds below this are neither kept nor accepted."""
+        return self.r_cur - 2
+
     def _prune_vote_state(self) -> None:
-        """Drop vote accumulators for long-past rounds (memory hygiene)."""
-        horizon = self.r_cur - 2
+        """Drop vote accumulators and formed-QC marks for long-past rounds."""
+        horizon = self._vote_horizon()
         stale = [key for key in self._vote_shares if key[2] < horizon]
         for key in stale:
             del self._vote_shares[key]

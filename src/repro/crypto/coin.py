@@ -98,7 +98,7 @@ class CommonCoin:
         """Combine f+1 distinct valid shares for ``view`` into the leader id.
 
         ``share_verifier`` replaces the per-share :meth:`verify_share` call
-        (pooled verification; see :mod:`repro.crypto.sharepool`).
+        (pooled verification; see :mod:`repro.crypto.verdicts`).
 
         Raises :class:`SignatureError` if the shares are insufficient.
         """

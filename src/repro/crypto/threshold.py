@@ -116,7 +116,7 @@ class ThresholdScheme:
         """Combine ≥ threshold distinct valid shares into one signature.
 
         ``share_verifier`` replaces the per-share :meth:`verify_share` call
-        — callers with a :class:`~repro.crypto.sharepool.VerifiedSharePool`
+        — callers with a :class:`~repro.crypto.verdicts.VerdictCache`
         pass a pooled verifier so re-verification at combine time costs a
         dictionary lookup instead of a hash per share.
         """

@@ -67,8 +67,9 @@ class Ledger:
     state_machine: StateMachine = field(default_factory=NullStateMachine)
     records: list[CommitRecord] = field(default_factory=list)
     _committed_ids: set[Digest] = field(default_factory=set)
-    #: tx_id -> (log position, block id) for committed transactions.
-    _tx_locations: dict[str, tuple[int, Digest]] = field(default_factory=dict)
+    #: tx_id -> log position of a committed transaction's first commit
+    #: (the block id is read from ``records`` when asked for).
+    _tx_locations: dict[str, int] = field(default_factory=dict)
     #: Transactions in application order, exactly once each.
     _applied: list = field(default_factory=list)
 
@@ -117,7 +118,7 @@ class Ledger:
                 if transaction.tx_id in self._tx_locations:
                     continue
                 self.state_machine.apply(transaction)
-                self._tx_locations[transaction.tx_id] = (record.position, chained.id)
+                self._tx_locations[transaction.tx_id] = record.position
                 self._applied.append(transaction)
             appended.append(record)
         self._last_committed = block
@@ -144,6 +145,7 @@ class Ledger:
     def commit_location(self, tx_id: str) -> tuple[int, Digest]:
         """(log position, block id) of a committed transaction."""
         try:
-            return self._tx_locations[tx_id]
+            position = self._tx_locations[tx_id]
         except KeyError:
             raise KeyError(f"transaction {tx_id} is not committed") from None
+        return position, self.records[position].block.id

@@ -10,12 +10,13 @@ paper accounts complexity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.replica import ReplicaObserver
 from repro.ledger.ledger import CommitRecord
 from repro.types.blocks import FallbackBlock
+from repro.types.transactions import Batch
 
 #: Message types belonging to the linear fast path.
 STEADY_TYPES = frozenset({"Proposal", "Vote"})
@@ -39,7 +40,12 @@ SYNC_TYPES = frozenset({"BlockRequest", "BlockResponse"})
 
 @dataclass
 class CommitEvent:
-    """One block commit observed at one replica."""
+    """One block commit observed at one replica.
+
+    ``batch`` is the committed block's own :class:`Batch`, shared with the
+    ledger rather than copied, so an event costs no per-transaction
+    memory; latencies are derived from it on demand.
+    """
 
     replica: int
     position: int
@@ -47,8 +53,15 @@ class CommitEvent:
     view: int
     time: float
     fallback_block: bool
-    batch_size: int
-    tx_latencies: list[float] = field(default_factory=list)
+    batch: Batch
+
+    @property
+    def batch_size(self) -> int:
+        return len(self.batch)
+
+    @property
+    def tx_latencies(self) -> list[float]:
+        return [self.time - tx.submitted_at for tx in self.batch]
 
 
 @dataclass
@@ -105,12 +118,12 @@ class MetricsCollector(ReplicaObserver):
         self._admission = None
 
     def attach_cert_cache(self, cache) -> None:
-        """Surface a :class:`~repro.crypto.certcache.VerifiedCertCache`'s
+        """Surface the certificate :class:`~repro.crypto.verdicts.VerdictCache`'s
         hit/miss counters through this collector."""
         self._cert_cache = cache
 
     def attach_share_pool(self, pool) -> None:
-        """Surface a :class:`~repro.crypto.sharepool.VerifiedSharePool`'s
+        """Surface the share :class:`~repro.crypto.verdicts.VerdictCache`'s
         hit/miss counters through this collector."""
         self._share_pool = pool
 
@@ -195,8 +208,7 @@ class MetricsCollector(ReplicaObserver):
                 view=block.view,
                 time=now,
                 fallback_block=isinstance(block, FallbackBlock),
-                batch_size=len(block.batch),
-                tx_latencies=[now - tx.submitted_at for tx in block.batch],
+                batch=block.batch,
             )
         )
         if replica in self.honest_ids:

@@ -1,9 +1,9 @@
-"""Unit tests for the cluster-wide verified-certificate cache."""
+"""Unit tests for the cluster-wide verification-verdict cache."""
 
 from repro.core.config import ProtocolConfig
 from repro.core.context import SharedSetup
 from repro.core.validation import verify_qc
-from repro.crypto.certcache import VerifiedCertCache
+from repro.crypto.verdicts import VerdictCache
 from repro.types.certificates import QC
 
 
@@ -16,7 +16,7 @@ def _make_qc(setup: SharedSetup, block_id: str = "b1", round: int = 1, view: int
 
 
 def test_verifier_runs_once_per_digest():
-    cache = VerifiedCertCache()
+    cache = VerdictCache()
     calls = []
 
     def verifier():
@@ -32,7 +32,7 @@ def test_verifier_runs_once_per_digest():
 
 
 def test_negative_verdicts_are_cached_too():
-    cache = VerifiedCertCache()
+    cache = VerdictCache()
     calls = []
 
     def verifier():
@@ -45,7 +45,7 @@ def test_negative_verdicts_are_cached_too():
 
 
 def test_disabled_cache_is_pass_through():
-    cache = VerifiedCertCache(enabled=False)
+    cache = VerdictCache(enabled=False)
     calls = []
     for _ in range(3):
         cache.check("digest-a", 0, lambda: calls.append(1) or True)
@@ -56,7 +56,7 @@ def test_disabled_cache_is_pass_through():
 
 
 def test_epoch_keys_are_distinct():
-    cache = VerifiedCertCache()
+    cache = VerdictCache()
     cache.check("d", 0, lambda: True)
     calls = []
     cache.check("d", 1, lambda: calls.append(1) or True)
@@ -64,7 +64,7 @@ def test_epoch_keys_are_distinct():
 
 
 def test_on_epoch_change_drops_stale_verdicts():
-    cache = VerifiedCertCache()
+    cache = VerdictCache()
     cache.check("old-1", 0, lambda: True)
     cache.check("old-2", 0, lambda: True)
     cache.check("new", 1, lambda: True)
@@ -77,12 +77,55 @@ def test_on_epoch_change_drops_stale_verdicts():
     assert calls == []
 
 
-def test_bounded_cache_clears_on_overflow():
-    cache = VerifiedCertCache(max_entries=2)
-    cache.check("a", 0, lambda: True)
-    cache.check("b", 0, lambda: True)
-    cache.check("c", 0, lambda: True)  # overflow: wholesale clear, then insert
+def _fill(cache: VerdictCache, keys: str, epoch: int = 0) -> None:
+    for key in keys:
+        cache.check(key, epoch, lambda: True)
+
+
+def _is_cached(cache: VerdictCache, key: str, epoch: int = 0) -> bool:
+    misses = cache.misses
+    cache.check(key, epoch, lambda: True)
+    return cache.misses == misses
+
+
+def test_bounded_cache_ages_out_by_generation():
+    """A verdict survives one generation swap and is gone after two, even
+    when it was hit in between."""
+    cache = VerdictCache(max_entries=2)
+    _fill(cache, "abc")  # young {a, b} is full: it becomes old, c starts young
+    assert len(cache) == 3
+    assert _is_cached(cache, "a")
+    _fill(cache, "de")  # second swap: {a, b} is dropped
+    assert len(cache) == 3
+    assert not _is_cached(cache, "a")
+
+
+def test_entries_never_exceed_two_generations():
+    cache = VerdictCache(max_entries=8)
+    for index in range(100):
+        cache.check(index, 0, lambda: True)
+        cache.check(index // 3, 0, lambda: True)
+        assert len(cache) <= 16
+    assert cache.counters()["entries"] == len(cache)
+
+
+def test_epoch_change_invalidates_both_generations():
+    cache = VerdictCache(max_entries=2)
+    _fill(cache, "abc")  # old {a, b}, young {c}
+    cache.check("new", 1, lambda: True)  # young {c, new}
+    cache.on_epoch_change(1)
     assert len(cache) == 1
+    assert cache.invalidations == 3
+    assert _is_cached(cache, "new", epoch=1)
+    assert not _is_cached(cache, "a")
+
+
+def test_clear_drops_both_generations():
+    cache = VerdictCache(max_entries=2)
+    _fill(cache, "abc")
+    cache.clear()
+    assert len(cache) == 0
+    assert cache.invalidations == 3
 
 
 def test_registry_epoch_change_invalidates_through_listener():

@@ -7,7 +7,9 @@ properties the n-scaling work must preserve:
 - the simulator stays *live* at n=64 within a bounded wall/sim-time budget
   (the pre-refactor hot paths made n=64 runs minutes long);
 - determinism holds at scale: two runs with one seed produce the same
-  commit trace and protocol counters.
+  commit trace and protocol counters;
+- the bounded verdict caches lose no hit at n=64, where a fallback view
+  verifies the most distinct shares.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ _BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 if str(_BENCHMARKS) not in sys.path:
     sys.path.insert(0, str(_BENCHMARKS))
 
-from bench_simcore import fingerprint, protocol_counters  # noqa: E402
+from bench_simcore import fingerprint, protocol_counters, run_scenario  # noqa: E402
 
 from repro.experiments.scenarios import (  # noqa: E402
     build_cluster,
@@ -65,3 +67,17 @@ def test_steady_n256_commits():
     cluster = build_cluster("fallback-3chain", 256, seed=3)
     cluster.run_until_commits(10, until=100_000.0)
     assert cluster.metrics.decisions() >= 10
+
+
+def test_fallback_n64_verdict_caches_keep_every_hit():
+    """Hit/miss counts of an unbounded cache, recorded before the caches
+    were bounded: a generation size too small for n=64 loses pool hits."""
+    result = run_scenario("fallback-n64", seed=1)
+    assert {k: result["cert_cache"][k] for k in ("hits", "misses")} == {
+        "hits": 91_795,
+        "misses": 969,
+    }
+    assert {k: result["share_pool"][k] for k in ("hits", "misses")} == {
+        "hits": 72_712,
+        "misses": 47_013,
+    }
