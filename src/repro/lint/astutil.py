@@ -31,9 +31,17 @@ def import_map(module: "ParsedModule") -> Dict[str, str]:
 
     ``import time as t`` maps ``t -> time``; ``from datetime import
     datetime`` maps ``datetime -> datetime.datetime``.  Imports inside
-    function bodies count too.  Rules read it as :attr:`ParsedModule.imports
+    function bodies and ``TYPE_CHECKING`` blocks count too: the replica
+    imports its view-change engines inside ``__init__`` to break a module
+    cycle, and those are exactly the types the call graph needs.  Relative
+    imports resolve against the module's package (``from . import x`` in
+    ``a/b.py`` or ``a/__init__.py`` is ``a.x``).  Rules and the call graph
+    read it as :attr:`ParsedModule.imports
     <repro.lint.engine.ParsedModule.imports>`, computed once per module.
     """
+    package = module.module.split(".")
+    if not module.path.endswith("__init__.py"):
+        package = package[:-1]  # a plain module's package is its parent
     mapping: Dict[str, str] = {}
     for node in module.walk():
         if isinstance(node, ast.Import):
@@ -41,10 +49,16 @@ def import_map(module: "ParsedModule") -> Dict[str, str]:
                 head = alias.name.split(".")[0]
                 mapping[alias.asname or head] = alias.name if alias.asname else head
         elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                continue  # relative imports are in-package, never stdlib
+            if node.level:
+                # ``from . import x`` / ``from ..pkg import x``.
+                if node.level - 1 >= len(package):
+                    continue  # climbs above the scanned root
+                parts = package[: len(package) - node.level + 1]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            else:
+                base = node.module
             for alias in node.names:
-                mapping[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                mapping[alias.asname or alias.name] = f"{base}.{alias.name}"
     return mapping
 
 

@@ -24,6 +24,14 @@ from repro.lint.flow.effects import (
     FunctionEffects,
     build_effects,
 )
+from repro.lint.flow.persistence import (
+    SAFETY_FIELDS,
+    FunctionPersistence,
+    PersistenceEvent,
+    PersistenceIndex,
+    build_persistence,
+)
+from repro.lint.flow.project import Project
 from repro.lint.flow.taint import (
     GUARD_METHODS,
     SINK_METHODS,
@@ -32,17 +40,6 @@ from repro.lint.flow.taint import (
     TaintEngine,
     is_sanitizer_name,
 )
-
-# Imported last: persistence lazily reaches into the rules package (for
-# the safety-state ownership map), so every earlier flow symbol must be
-# bound before any re-entrant import of this package.
-from repro.lint.flow.persistence import (
-    FunctionPersistence,
-    PersistenceEvent,
-    PersistenceIndex,
-    build_persistence,
-)
-from repro.lint.flow.project import Project
 
 __all__ = [
     "BLOCKING_CALLS",
@@ -57,6 +54,7 @@ __all__ = [
     "PersistenceEvent",
     "PersistenceIndex",
     "Project",
+    "SAFETY_FIELDS",
     "SINK_METHODS",
     "SinkHit",
     "Summary",

@@ -129,11 +129,9 @@ class CallGraph:
     def __init__(self) -> None:
         self.functions: Dict[str, FunctionNode] = {}
         self.classes: Dict[str, ClassNode] = {}
-        #: dotted module name -> the parsed module it was built from.
+        #: dotted module name -> the parsed module it was built from (its
+        #: ``imports`` is the import map every analysis resolves through).
         self.modules: Dict[str, ParsedModule] = {}
-        #: module -> local name -> imported dotted path (every import in
-        #: the module, function-local ones included).
-        self.imports: Dict[str, Dict[str, str]] = {}
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -216,40 +214,6 @@ class CallGraph:
         }
 
 
-# ----------------------------------------------------------------------
-# Import resolution
-# ----------------------------------------------------------------------
-def _module_imports(module: ParsedModule) -> Dict[str, str]:
-    """Local name -> imported dotted path, everywhere in the module.
-
-    Function bodies and ``TYPE_CHECKING`` blocks count: the replica
-    imports its view-change engines inside ``__init__`` to break a module
-    cycle, and those are exactly the types the resolver needs.  Unlike
-    :func:`repro.lint.astutil.import_map`, relative imports are resolved
-    against the module's own package.
-    """
-    mapping: Dict[str, str] = {}
-    package_parts = module.module.split(".")
-    for node in module.walk():
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                mapping[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                # ``from . import x`` / ``from ..pkg import x``.
-                base_parts = package_parts[: len(package_parts) - node.level + 1]
-                base = ".".join(base_parts + ([node.module] if node.module else []))
-            else:
-                base = node.module or ""
-            if not base:
-                continue
-            for alias in node.names:
-                mapping[alias.asname or alias.name] = f"{base}.{alias.name}"
-    return mapping
-
-
 def _annotation_class(node: Optional[ast.AST]) -> Optional[str]:
     """Extract a plain class name from an annotation expression.
 
@@ -300,11 +264,10 @@ def _iter_defs(
 class _ModuleContext:
     """Per-module resolution state shared by the two build passes."""
 
-    __slots__ = ("module", "imports", "local_defs")
+    __slots__ = ("module", "local_defs")
 
     def __init__(self, module: ParsedModule) -> None:
         self.module = module
-        self.imports = _module_imports(module)
         #: name defined at module level -> qualname.
         self.local_defs: Dict[str, str] = {}
 
@@ -321,7 +284,6 @@ def build_call_graph(modules: Sequence[ParsedModule]) -> CallGraph:
         context = _ModuleContext(module)
         contexts.append(context)
         graph.modules.setdefault(module.module, module)
-        graph.imports.setdefault(module.module, context.imports)
         for node in module.tree.body:
             if isinstance(node, ast.ClassDef):
                 class_qual = f"{module.module}.{node.name}"
@@ -387,8 +349,9 @@ def _resolve_name(
     candidates = []
     if head in context.local_defs:
         candidates.append(context.local_defs[head])
-    if head in context.imports:
-        candidates.append(context.imports[head])
+    imports = context.module.imports
+    if head in imports:
+        candidates.append(imports[head])
     candidates.append(head)  # a plain module reference (``repro.x.y``)
     for candidate in candidates:
         dotted = ".".join([candidate] + rest)
@@ -419,7 +382,7 @@ def _lookup_class(
     head, _, rest = name.partition(".")
     for candidate in (
         context.local_defs.get(head),
-        context.imports.get(head),
+        context.module.imports.get(head),
         head,
     ):
         if candidate is None:

@@ -29,8 +29,8 @@ the call graph, memoized with optimistic cycle-breaking (the
 :class:`~repro.lint.flow.base.Closure` the taint engine uses too).  The
 index serializes to JSON with every collection sorted, so two builds of
 the same tree are byte-identical and the CI artifact (``repro lint
---effects``) diffs cleanly per PR — golden-tested like
-``callgraph_core.json``.
+--effects``) diffs cleanly per PR; ``tests/lint/goldens/digests.json``
+pins its digest.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class EffectsIndex:
     # ------------------------------------------------------------------
     def _collect_direct(self, node: FunctionNode) -> FunctionEffects:
         fx = FunctionEffects(node)
-        imports = self.graph.imports.get(node.module, {})
+        imports = self.graph.modules[node.module].imports
         parents: Dict[ast.AST, ast.AST] = {}
         for parent in iter_own_body(node.node):
             for child in ast.iter_child_nodes(parent):

@@ -43,7 +43,7 @@ classified on the **re-resolved** target and emitted as ``journal`` /
 stack (``via``) that reached it.  The index serializes to JSON with
 every collection in deterministic order, so two builds of the same tree
 are byte-identical and the CI artifact (``repro lint --persistence``)
-diffs cleanly per PR — golden-tested like ``effects_runtime.json``.
+diffs cleanly per PR; ``tests/lint/goldens/digests.json`` pins its digest.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ __all__ = [
     "PersistenceEvent",
     "FunctionPersistence",
     "PersistenceIndex",
+    "SAFETY_FIELDS",
+    "TRACKED_SAFETY_FIELDS",
     "build_persistence",
-    "tracked_safety_fields",
 ]
 
 #: Journal operations: matched on the re-resolved method name when the
@@ -104,15 +105,29 @@ _TMP_HINTS = ("tmp", "temp")
 _MAX_EVENTS = 100_000
 
 
-def tracked_safety_fields() -> FrozenSet[str]:
-    """The safety-state ownership map plus the proposal watermark.
+#: Safety-critical attribute -> modules allowed to assign it.
+#:
+#: - ``r_vote`` / ``rank_lock`` / ``_fallback_votes`` belong to
+#:   :mod:`repro.core.safety` (the vote/lock state machine); the durable
+#:   journal restore path re-installs them verbatim on recovery.
+#: - ``qc_high`` belongs to :mod:`repro.core.replica` (monotone
+#:   ``max_cert`` update; the fallback adoption path reads it but mutates
+#:   through the replica).
+#: - ``locked_round`` / ``highest_qc`` are the common names for the same
+#:   state in related codebases; reserving them keeps a refactor from
+#:   quietly re-introducing an unguarded variant.
+SAFETY_FIELDS: Dict[str, FrozenSet[str]] = {
+    "r_vote": frozenset({"repro.core.safety", "repro.storage.durable"}),
+    "rank_lock": frozenset({"repro.core.safety", "repro.storage.durable"}),
+    "_fallback_votes": frozenset({"repro.core.safety", "repro.storage.durable"}),
+    "qc_high": frozenset({"repro.core.replica"}),
+    "locked_round": frozenset({"repro.core.safety"}),
+    "highest_qc": frozenset({"repro.core.replica"}),
+}
 
-    Imported lazily so the flow layer never executes the rule package at
-    import time (the rules import the flow layer, not vice versa).
-    """
-    from repro.lint.rules.safety_state import SAFETY_FIELDS
-
-    return frozenset(SAFETY_FIELDS) | {"_proposed"}
+#: The fields whose mutations the streams record: the ownership map plus
+#: the proposal watermark.
+TRACKED_SAFETY_FIELDS: FrozenSet[str] = frozenset(SAFETY_FIELDS) | {"_proposed"}
 
 
 class PersistenceEvent:
@@ -174,7 +189,7 @@ class PersistenceIndex:
 
     def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        self.tracked = tracked_safety_fields()
+        self.tracked = TRACKED_SAFETY_FIELDS
         self._fp: Dict[str, FunctionPersistence] = {}
         for qualname, node in graph.functions.items():
             self._fp[qualname] = self._collect_direct(node)
@@ -459,7 +474,7 @@ class _StreamWalker(EvalOrderWalker):
         self.node = node
         self.fp = fp
         self.module = index.graph.modules[node.module]
-        self.imports = index.graph.imports.get(node.module, {})
+        self.imports = self.module.imports
 
     # -- event emission -------------------------------------------------
     def _event(

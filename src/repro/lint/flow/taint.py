@@ -57,7 +57,7 @@ __all__ = [
 #: Methods whose call *is* a safety-state/ledger sink regardless of how
 #: the receiver resolves (name-based, so an unresolvable receiver still
 #: counts).  The safety-state field writes themselves are matched via
-#: :data:`repro.lint.rules.safety_state.SAFETY_FIELDS`.
+#: :data:`repro.lint.flow.persistence.SAFETY_FIELDS`.
 SINK_METHODS: FrozenSet[str] = frozenset(
     {
         "record_regular_vote",

@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import FrozenSet, Iterator
 
 from repro.lint.engine import Finding, ProjectRule, register_rule
+from repro.lint.flow.persistence import SAFETY_FIELDS
 from repro.lint.flow.project import Project
 from repro.lint.flow.taint import TaintEngine
-from repro.lint.rules.safety_state import SAFETY_FIELDS
 
 #: Modules whose handler entry points are treated as taint sources.
 SOURCE_MODULE_PREFIX = "repro.core"

@@ -40,8 +40,8 @@ from repro.lint.engine import (
     register_rule,
 )
 from repro.lint.flow.callgraph import _attribute_chain
+from repro.lint.flow.persistence import SAFETY_FIELDS
 from repro.lint.flow.project import Project
-from repro.lint.rules.safety_state import SAFETY_FIELDS
 
 #: Handler roots whose linearized streams the write-ahead rule checks.
 HANDLER_ROOTS = ("deliver", "on_timer", "on_start", "recover")

@@ -3,8 +3,10 @@
 The benchmark suite (``BENCH_simcore.json``) pins byte-identical
 commit-trace fingerprints across runs, and the common-coin leader election
 (Lemma 7) assumes the adversary cannot bias the coin — both break the
-moment simulation-side code reads a wall clock, draws unseeded randomness,
-or iterates a hash-ordered container where order reaches protocol state.
+moment simulation-side code draws unseeded randomness or iterates a
+hash-ordered container where order reaches protocol state.  (Wall-clock
+reads are left to the tier-1 fingerprint and simulation tests, which
+fail on one; see "Retired rules" in docs/STATIC_ANALYSIS.md.)
 
 Scope: ``repro.core``, ``repro.sim``, ``repro.crypto`` and the simulated
 side of ``repro.net``.  The live runtime (``repro.runtime.live``,
@@ -30,22 +32,6 @@ DETERMINISTIC_PREFIXES = ("repro.core", "repro.sim", "repro.crypto", "repro.net"
 
 #: Modules inside those packages that are wall-clock by design (live side).
 LIVE_SIDE_MODULES = frozenset({"repro.net.tcp"})
-
-#: Call targets that read a wall clock.
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
 
 #: Call targets that draw operating-system / unseeded randomness.
 ENTROPY_CALLS = frozenset(
@@ -92,33 +78,6 @@ def in_deterministic_scope(module: ParsedModule) -> bool:
 class _DeterministicScopeRule(Rule):
     def applies_to(self, module: ParsedModule) -> bool:
         return not module.is_test and in_deterministic_scope(module)
-
-
-@register_rule
-class WallClockRule(_DeterministicScopeRule):
-    """Forbid wall-clock reads in simulation-side code."""
-
-    id = "wall-clock"
-    description = "no time.time()/monotonic()/perf_counter()/datetime.now() in sim-side code"
-    rationale = (
-        "Commit-trace fingerprints are byte-identical across runs only if "
-        "simulated time is the sole clock; one wall-clock read makes runs "
-        "unreproducible and benchmark diffs meaningless."
-    )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        imports = module.imports
-        for node in module.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = resolve_call(imports, node.func)
-            if resolved in WALL_CLOCK_CALLS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"wall-clock read {resolved}() in deterministic module "
-                    f"{module.module}; use the scheduler's simulated clock",
-                )
 
 
 @register_rule

@@ -11,29 +11,10 @@ proofs were checked against.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List
+from typing import Iterator, List
 
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
-
-#: Safety-critical attribute -> modules allowed to assign it.
-#:
-#: - ``r_vote`` / ``rank_lock`` / ``_fallback_votes`` belong to
-#:   :mod:`repro.core.safety` (the vote/lock state machine); the durable
-#:   journal restore path re-installs them verbatim on recovery.
-#: - ``qc_high`` belongs to :mod:`repro.core.replica` (monotone
-#:   ``max_cert`` update; the fallback adoption path reads it but mutates
-#:   through the replica).
-#: - ``locked_round`` / ``highest_qc`` are the common names for the same
-#:   state in related codebases; reserving them keeps a refactor from
-#:   quietly re-introducing an unguarded variant.
-SAFETY_FIELDS: Dict[str, FrozenSet[str]] = {
-    "r_vote": frozenset({"repro.core.safety", "repro.storage.durable"}),
-    "rank_lock": frozenset({"repro.core.safety", "repro.storage.durable"}),
-    "_fallback_votes": frozenset({"repro.core.safety", "repro.storage.durable"}),
-    "qc_high": frozenset({"repro.core.replica"}),
-    "locked_round": frozenset({"repro.core.safety"}),
-    "highest_qc": frozenset({"repro.core.replica"}),
-}
+from repro.lint.flow.persistence import SAFETY_FIELDS
 
 
 @register_rule

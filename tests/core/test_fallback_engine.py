@@ -26,7 +26,7 @@ def make_ftc(cluster, view=0):
     scheme = cluster.setup.quorum_scheme
     payload = ("ftimeout", view)
     shares = [scheme.sign_share(cluster.setup.registry.key_pair(i), payload)
-              for i in range(3)]
+              for i in range(cluster.setup.config.quorum_size)]
     return FallbackTC(view=view, signature=scheme.combine(shares, payload))
 
 
@@ -135,20 +135,23 @@ def test_full_fallback_round_trip_commits(cluster):
     assert cluster.metrics.fallback_count() == 1
 
 
-def test_top_height_fqc_broadcast_counts_completions(cluster):
-    replica = cluster.replicas[0]
-    replica.fallback.maybe_enter_fallback(make_ftc(cluster))
-    base = replica.qc_high
-    completions = 0
-    for proposer in range(1, 4):
-        fblocks, fqcs = build_fallback_chain(
-            cluster.setup, replica.store, view=0, proposer=proposer, base_qc=base
-        )
-        replica.deliver(proposer, FallbackQCMessage(fqc=fqcs[2]))
-        completions += 1
-        if completions < 3:
-            assert 0 not in replica.fallback._coin_share_sent
-    assert 0 in replica.fallback._coin_share_sent
+def test_top_height_fqc_broadcast_counts_completions():
+    # The coin share goes out at the 2f+1-th completion (Lemma 7).  At
+    # n=4 that is 3, so a hard-coded 3 would pass; n=7 (quorum 5) tells
+    # the two apart.
+    for n in (4, 7):
+        cluster = ClusterBuilder(n=n, seed=2).with_preload(20).build()
+        quorum = cluster.setup.config.quorum_size
+        replica = cluster.replicas[0]
+        replica.fallback.maybe_enter_fallback(make_ftc(cluster))
+        base = replica.qc_high
+        for completions, proposer in enumerate(range(1, n), start=1):
+            fblocks, fqcs = build_fallback_chain(
+                cluster.setup, replica.store, view=0, proposer=proposer, base_qc=base
+            )
+            replica.deliver(proposer, FallbackQCMessage(fqc=fqcs[2]))
+            sent = 0 in replica.fallback._coin_share_sent
+            assert sent == (completions >= quorum), (n, completions)
 
 
 def test_non_top_fqc_message_ignored_for_completion(cluster):

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Regenerate every lint golden in this directory.
+"""Regenerate the lint golden digests in this directory.
 
 Usage (from the repo root)::
 
     PYTHONPATH=src python tests/lint/goldens/regen.py
 
-Rebuilds, through the same ``Project.dump`` writer as the CLI dumps:
+Rebuilds, through the same ``Project.dump`` writer as the CLI dumps, and
+records the SHA-256 of each in ``digests.json``:
 
 - ``callgraph_core.json`` — the ``repro.core`` slice of the project call
   graph (``repro lint --graph ... --graph-prefix repro.core``)
@@ -16,18 +17,22 @@ Rebuilds, through the same ``Project.dump`` writer as the CLI dumps:
   the durability scopes (``repro lint --persistence ...`` with the
   ``--persistence-prefix`` values the crash-consistency rules cover)
 
-Run it whenever a golden test fails after an intentional change, then
-review the diff like any other code change: a new suspension point or a
-widened blocking closure in the diff is the analysis telling you what
-your edit did to the runtime's concurrency behavior.
+Run it whenever a golden test fails after an intentional change, after
+reviewing the dump the failing test wrote (its message names the file)
+against the parent's: a new suspension point or a widened blocking
+closure in the diff is the analysis telling you what your edit did to
+the runtime's concurrency behavior.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
 GOLDENS = Path(__file__).resolve().parent
+DIGESTS = GOLDENS / "digests.json"
 
 
 def _repo_root() -> Path:
@@ -57,7 +62,7 @@ PERSISTENCE_PREFIXES = (
 )
 
 
-#: golden file -> (analysis, module prefixes) of its ``Project.dump``.
+#: dump name -> (analysis, module prefixes) of its ``Project.dump``.
 GOLDEN_DUMPS = {
     "callgraph_core.json": ("graph", ("repro.core",)),
     "effects_runtime.json": ("effects", EFFECTS_PREFIXES),
@@ -72,9 +77,12 @@ def main() -> int:
     from repro.lint.flow import Project
 
     project = Project(collect_modules(repo_root / "src", None))
-    for name, (analysis, prefixes) in GOLDEN_DUMPS.items():
-        (GOLDENS / name).write_text(project.dump(analysis, prefixes), encoding="utf-8")
-        print(f"wrote {GOLDENS / name}")
+    digests = {
+        name: hashlib.sha256(project.dump(analysis, prefixes).encode("utf-8")).hexdigest()
+        for name, (analysis, prefixes) in GOLDEN_DUMPS.items()
+    }
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS}")
     return 0
 
 

@@ -6,10 +6,9 @@ import repro
 from repro.lint.engine import collect_modules
 from repro.lint.flow import Project, build_call_graph
 
-from tests.lint.conftest import mod
+from tests.lint.conftest import assert_matches_golden, mod
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
-GOLDEN = Path(__file__).parent / "goldens" / "callgraph_core.json"
 
 
 def graph_of(*modules):
@@ -95,6 +94,40 @@ def test_import_alias_resolution():
     g = graph_of(target, user)
     assert "repro.core.validation.verify_qc" in g.functions["repro.core.replica.a"].calls
     assert "repro.core.validation.verify_qc" in g.functions["repro.core.replica.b"].calls
+
+
+def test_relative_imports_resolve_against_the_package():
+    source = """
+        from . import validation
+        from .validation import verify_qc
+        from .. import ledger
+        """
+    module = mod(source, "repro.core.replica")
+    package = mod(source, "repro.core", path="repro/core/__init__.py")
+    assert module.imports == {
+        "validation": "repro.core.validation",
+        "verify_qc": "repro.core.validation.verify_qc",
+        "ledger": "repro.ledger",
+    }
+    assert package.imports == module.imports
+    target = mod(
+        """
+        def verify_qc(qc):
+            pass
+        """,
+        "repro.core.validation",
+    )
+    user = mod(
+        """
+        from . import validation
+
+        def a(qc):
+            validation.verify_qc(qc)
+        """,
+        "repro.core.replica",
+    )
+    g = graph_of(target, user)
+    assert "repro.core.validation.verify_qc" in g.functions["repro.core.replica.a"].calls
 
 
 def test_function_local_import_alias_resolution():
@@ -199,12 +232,5 @@ def test_serialized_graph_is_build_stable():
     assert _real_core_dump() == _real_core_dump()
 
 
-def test_core_graph_matches_golden_file():
-    expected = GOLDEN.read_text(encoding="utf-8")
-    actual = _real_core_dump()
-    assert actual == expected, (
-        "serialized repro.core call graph changed; if the change is "
-        "intentional, regenerate with:\n  PYTHONPATH=src python -m repro "
-        "lint --graph tests/lint/goldens/callgraph_core.json "
-        "--graph-prefix repro.core"
-    )
+def test_core_graph_matches_golden_file(tmp_path):
+    assert_matches_golden("callgraph_core.json", _real_core_dump(), tmp_path)

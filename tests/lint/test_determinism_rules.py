@@ -1,10 +1,9 @@
-"""Determinism rules: wall clocks, unseeded randomness, unordered iteration."""
+"""Determinism rules: unseeded randomness, unordered iteration."""
 
 from repro.lint.astutil import resolve_call
 from repro.lint.rules.determinism import (
     UnorderedIterationRule,
     UnseededRandomRule,
-    WallClockRule,
     in_deterministic_scope,
 )
 
@@ -24,74 +23,19 @@ def test_scope_covers_sim_side_and_excludes_live_side():
     assert not in_deterministic_scope(mod("", "repro.analysis.stats"))
 
 
-# ----------------------------------------------------------------------
-# wall-clock
-# ----------------------------------------------------------------------
-def test_wall_clock_flags_time_time_in_sim_code():
-    module = mod(
-        """
-        import time
-
-        def stamp():
-            return time.time()
-        """,
-        "repro.sim.scheduler",
-    )
-    findings = run_rule(WallClockRule, module)
-    assert len(findings) == 1
-    assert "time.time" in findings[0].message
-
-
-def test_wall_clock_resolves_aliases_and_from_imports():
-    module = mod(
-        """
-        import time as t
-        from datetime import datetime
-
-        def stamps():
-            return t.monotonic(), datetime.now()
-        """,
-        "repro.core.replica",
-    )
-    findings = run_rule(WallClockRule, module)
-    assert len(findings) == 2
-
-
-
 def test_import_map_tracks_function_local_imports():
     module = mod(
         """
-        def stamp():
-            import time as t
-            return t.time()
+        def draw():
+            import random as r
+            return r.random()
         """,
         "repro.core.replica",
     )
     call = module.tree.body[0].body[1].value
-    assert resolve_call(module.imports, call.func) == "time.time"
-    findings = run_rule(WallClockRule, module)
+    assert resolve_call(module.imports, call.func) == "random.random"
+    findings = run_rule(UnseededRandomRule, module)
     assert [f.line for f in findings] == [4]
-
-def test_wall_clock_allows_live_side_and_analysis_code():
-    source = """
-        import time
-
-        def stamp():
-            return time.time()
-        """
-    assert run_rule(WallClockRule, mod(source, "repro.net.tcp")) == []
-    assert run_rule(WallClockRule, mod(source, "repro.analysis.stats")) == []
-
-
-def test_wall_clock_allows_simulated_clock_attribute():
-    module = mod(
-        """
-        def now(scheduler):
-            return scheduler.time()
-        """,
-        "repro.sim.scheduler",
-    )
-    assert run_rule(WallClockRule, module) == []
 
 
 # ----------------------------------------------------------------------
@@ -262,12 +206,14 @@ def test_unordered_iteration_rebound_name_is_not_flagged():
 def test_rules_skip_test_modules():
     module = mod(
         """
-        import time
+        import random
 
-        def stamp():
-            return time.time()
+        def draw(peers):
+            for peer in {1, 2}:
+                random.random()
         """,
         "tests.sim.test_scheduler",
         is_test=True,
     )
-    assert run_rule(WallClockRule, module) == []
+    assert run_rule(UnseededRandomRule, module) == []
+    assert run_rule(UnorderedIterationRule, module) == []

@@ -8,10 +8,9 @@ from repro.cli import main
 from repro.lint.engine import collect_modules
 from repro.lint.flow import Project
 
-from tests.lint.conftest import mod
+from tests.lint.conftest import GOLDEN_DIGESTS, assert_matches_golden, mod
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
-GOLDEN = Path(__file__).parent / "goldens" / "effects_runtime.json"
 
 #: The concurrency-rule scopes (mirrors goldens/regen.py).
 RUNTIME_PREFIXES = (
@@ -243,29 +242,22 @@ def test_serialized_effects_are_build_stable():
     assert _runtime_dump() == _runtime_dump()
 
 
-def test_runtime_effects_match_golden_file():
-    expected = GOLDEN.read_text(encoding="utf-8")
-    actual = _runtime_dump()
-    assert actual == expected, (
-        "serialized runtime effect summaries changed; if the change is "
-        "intentional, regenerate with:\n  PYTHONPATH=src python "
-        "tests/lint/goldens/regen.py\nand review the diff"
-    )
+def test_runtime_effects_match_golden_file(tmp_path):
+    assert_matches_golden("effects_runtime.json", _runtime_dump(), tmp_path)
 
 
 def test_regen_script_reproduces_both_goldens(tmp_path):
-    # A copy of regen.py run from a scratch directory must reproduce both
-    # checked-in goldens byte-for-byte (it writes next to itself; the real
+    # A copy of regen.py run from a scratch directory must reproduce the
+    # checked-in digests byte-for-byte (it writes next to itself; the real
     # source tree is located through the importable repro package).
     import os
     import shutil
     import subprocess
     import sys
 
-    goldens = Path(__file__).parent / "goldens"
     staged = tmp_path / "goldens"
     staged.mkdir()
-    shutil.copy(goldens / "regen.py", staged / "regen.py")
+    shutil.copy(GOLDEN_DIGESTS.parent / "regen.py", staged / "regen.py")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -277,12 +269,7 @@ def test_regen_script_reproduces_both_goldens(tmp_path):
         env=env,
     )
     assert result.returncode == 0, result.stderr
-    for name in (
-        "callgraph_core.json",
-        "effects_runtime.json",
-        "persistence_storage.json",
-    ):
-        assert (staged / name).read_bytes() == (goldens / name).read_bytes(), name
+    assert (staged / GOLDEN_DIGESTS.name).read_bytes() == GOLDEN_DIGESTS.read_bytes()
 
 
 # ----------------------------------------------------------------------

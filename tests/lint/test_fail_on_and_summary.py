@@ -15,7 +15,7 @@ from repro.lint.engine import (
 )
 
 
-def _finding(severity, rule="wall-clock"):
+def _finding(severity, rule="hot-path"):
     return Finding(
         path="src/repro/x.py", line=1, col=1, rule=rule,
         message="m", severity=severity,
@@ -32,8 +32,8 @@ def test_should_fail_default_ignores_warnings():
 
 def test_summarize_counts_by_severity_and_rule():
     findings = [
-        _finding(SEVERITY_ERROR, rule="wall-clock"),
-        _finding(SEVERITY_ERROR, rule="wall-clock"),
+        _finding(SEVERITY_ERROR, rule="hot-path"),
+        _finding(SEVERITY_ERROR, rule="hot-path"),
         _finding(SEVERITY_WARNING, rule="swallowed-exception"),
     ]
     summary = summarize(findings)
@@ -41,7 +41,7 @@ def test_summarize_counts_by_severity_and_rule():
         "total": 3,
         "errors": 2,
         "warnings": 1,
-        "by_rule": {"swallowed-exception": 1, "wall-clock": 2},
+        "by_rule": {"hot-path": 2, "swallowed-exception": 1},
     }
 
 

@@ -8,10 +8,9 @@ from repro.cli import main
 from repro.lint.engine import collect_modules
 from repro.lint.flow import Project
 
-from tests.lint.conftest import mod
+from tests.lint.conftest import assert_matches_golden, mod
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
-GOLDEN = Path(__file__).parent / "goldens" / "persistence_storage.json"
 
 #: The crash-consistency scopes (mirrors goldens/regen.py).
 STORAGE_PREFIXES = ("repro.storage", "repro.runtime")
@@ -309,14 +308,8 @@ def test_serialized_persistence_is_build_stable():
     assert _storage_dump() == _storage_dump()
 
 
-def test_storage_persistence_matches_golden_file():
-    expected = GOLDEN.read_text(encoding="utf-8")
-    actual = _storage_dump()
-    assert actual == expected, (
-        "serialized persistence summaries changed; if the change is "
-        "intentional, regenerate with:\n  PYTHONPATH=src python "
-        "tests/lint/goldens/regen.py\nand review the diff"
-    )
+def test_storage_persistence_matches_golden_file(tmp_path):
+    assert_matches_golden("persistence_storage.json", _storage_dump(), tmp_path)
 
 
 # ----------------------------------------------------------------------
