@@ -15,8 +15,9 @@ common-coin leader elections — are stable across versions
 (``tests/crypto/test_hashing.py`` pins them).  There is no digest memo:
 encoding and hashing directly costs less than an average lookup with a key
 that keeps ``False`` and ``0`` apart, and a process-wide memo keeps every
-digest alive (``docs/PERFORMANCE.md``).  Blocks and certificates cache
-their own digests in a ``cached_property``.
+digest alive (``docs/PERFORMANCE.md``).  What is cached has an owner: a
+block computes its id once, when it is built, and a certificate memoises
+its digest in a slot on first read (:mod:`repro.types`).
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ def _combined_tag(epoch: int, payload: object) -> Digest:
     return hash_fields(_COMBINED_DOMAIN, epoch, payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdSignatureShare:
     """One replica's share over a payload — the paper's ``{m}_i``."""
 
@@ -51,14 +51,23 @@ class ThresholdSignatureShare:
         return SHARE_WIRE_SIZE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdSignature:
-    """A combined threshold signature — constant size on the wire."""
+    """A combined threshold signature — constant size on the wire.
+
+    ``signers`` may be given as any iterable of replica ids; it is stored
+    as a sorted tuple of the distinct ids, so equal signer sets give equal
+    signatures whatever order or container they arrived in.
+    """
 
     epoch: int
     tag: Digest
-    #: Contributing replicas; analysis-only (not counted in wire size).
-    signers: frozenset[int]
+    #: Contributing replicas, sorted and distinct; analysis-only (not
+    #: counted in wire size).
+    signers: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signers", tuple(sorted(set(self.signers))))
 
     def wire_size(self) -> int:
         return THRESHOLD_SIG_WIRE_SIZE
@@ -136,7 +145,7 @@ class ThresholdScheme:
         return ThresholdSignature(
             epoch=self.registry.epoch,
             tag=_combined_tag(self.registry.epoch, payload),
-            signers=frozenset(valid_signers),
+            signers=tuple(sorted(valid_signers)),
         )
 
     def verify(self, signature: ThresholdSignature, payload: object) -> bool:

@@ -67,15 +67,6 @@ class BlockStore:
             yield current
             current = self.parent(current)
 
-    def extends(self, descendant: AnyBlock, ancestor_id: Digest) -> bool:
-        """True iff ``descendant`` extends the block with ``ancestor_id``.
-
-        A block extends itself (matching the paper's convention).
-        """
-        if descendant.id == ancestor_id:
-            return True
-        return any(block.id == ancestor_id for block in self.ancestors(descendant))
-
     def chain_to(self, block: AnyBlock, stop_id: Digest) -> Optional[list[AnyBlock]]:
         """Blocks from just after ``stop_id`` up to ``block`` (inclusive).
 
@@ -99,6 +90,3 @@ class BlockStore:
         if parent_id is not None and parent_id not in self._blocks:
             return parent_id
         return None
-
-    def all_blocks(self) -> list[AnyBlock]:
-        return list(self._blocks.values())

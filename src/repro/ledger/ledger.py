@@ -50,7 +50,7 @@ class KVStateMachine(StateMachine):
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord:
     """One committed block, with when/where it was committed."""
 

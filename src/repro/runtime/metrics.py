@@ -38,7 +38,7 @@ VIEWCHANGE_TYPES = frozenset(
 SYNC_TYPES = frozenset({"BlockRequest", "BlockResponse"})
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitEvent:
     """One block commit observed at one replica.
 

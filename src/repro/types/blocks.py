@@ -3,12 +3,17 @@
 A regular block is ``B = [id, qc, r, v, txn]`` where ``qc`` certifies the
 parent.  A fallback block adds ``height`` (1..3) and ``proposer``.  Block ids
 are content hashes, so equivocating proposals have different ids.
+
+Both block types are frozen, slotted dataclasses.  Every block is stored,
+relayed and (once committed) kept for the ledger's lifetime, so the id is
+computed once when the block is built and held in a plain slot, and the
+modeled wire size is memoised in a slot filled on first use.  Neither slot
+takes part in ``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Union
 
 from repro.crypto.hashing import DIGEST_WIRE_SIZE, Digest, hash_fields
@@ -51,7 +56,7 @@ def _cert_fingerprint(cert: Optional[AnyParent]) -> tuple:
     return ("qc", cert.block_id, cert.round, cert.view)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A regular (steady-state) block.
 
@@ -66,25 +71,32 @@ class Block:
     qc: Optional[ParentCert]
     round: int
     view: int
-    batch: Batch = field(default=EMPTY_BATCH)
+    batch: Batch = EMPTY_BATCH
     author: int = -1
+    id: Digest = field(init=False, repr=False, compare=False)
+    _wire_size: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    @cached_property
-    def id(self) -> Digest:
-        return hash_fields(
-            "block",
-            _cert_fingerprint(self.qc),
-            self.round,
-            self.view,
-            self.batch.digest,
-            self.author,
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "id",
+            hash_fields(
+                "block",
+                _cert_fingerprint(self.qc),
+                self.round,
+                self.view,
+                self.batch.digest,
+                self.author,
+            ),
         )
 
     @property
     def parent_id(self) -> Optional[Digest]:
         return self.qc.block_id if self.qc is not None else None
 
-    @cached_property
+    @property
     def rank(self) -> Rank:
         return Rank(view=self.view, endorsed=False, round=self.round)
 
@@ -92,21 +104,24 @@ class Block:
     def is_genesis(self) -> bool:
         return self.qc is None and self.round == 0
 
-    @cached_property
-    def _wire_size(self) -> int:
-        qc_size = self.qc.wire_size() if self.qc is not None else 0
-        return (
-            DIGEST_WIRE_SIZE + BLOCK_HEADER_WIRE_SIZE + qc_size + self.batch.wire_size()
-        )
-
     def wire_size(self) -> int:
-        return self._wire_size
+        size = self._wire_size
+        if size is None:
+            qc_size = self.qc.wire_size() if self.qc is not None else 0
+            size = (
+                DIGEST_WIRE_SIZE
+                + BLOCK_HEADER_WIRE_SIZE
+                + qc_size
+                + self.batch.wire_size()
+            )
+            object.__setattr__(self, "_wire_size", size)
+        return size
 
     def __repr__(self) -> str:  # compact, for traces
         return f"Block(r={self.round}, v={self.view}, id={self.id[:8]})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FallbackBlock:
     """A fallback block ``B̄ = [B, height, proposer]``.
 
@@ -119,45 +134,50 @@ class FallbackBlock:
     view: int
     height: int
     proposer: int
-    batch: Batch = field(default=EMPTY_BATCH)
+    batch: Batch = EMPTY_BATCH
+    id: Digest = field(init=False, repr=False, compare=False)
+    _wire_size: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.height < 1:
             raise ValueError(f"fallback height must be >= 1, got {self.height}")
-
-    @cached_property
-    def id(self) -> Digest:
-        return hash_fields(
-            "fblock",
-            _cert_fingerprint(self.qc),
-            self.round,
-            self.view,
-            self.batch.digest,
-            self.height,
-            self.proposer,
+        object.__setattr__(
+            self,
+            "id",
+            hash_fields(
+                "fblock",
+                _cert_fingerprint(self.qc),
+                self.round,
+                self.view,
+                self.batch.digest,
+                self.height,
+                self.proposer,
+            ),
         )
 
     @property
     def parent_id(self) -> Digest:
         return self.qc.block_id
 
-    @cached_property
+    @property
     def rank(self) -> Rank:
         """Rank as an unendorsed f-block (endorsement is a certificate affair)."""
         return Rank(view=self.view, endorsed=False, round=self.round)
 
-    @cached_property
-    def _wire_size(self) -> int:
-        return (
-            DIGEST_WIRE_SIZE
-            + BLOCK_HEADER_WIRE_SIZE
-            + 16  # height + proposer
-            + self.qc.wire_size()
-            + self.batch.wire_size()
-        )
-
     def wire_size(self) -> int:
-        return self._wire_size
+        size = self._wire_size
+        if size is None:
+            size = (
+                DIGEST_WIRE_SIZE
+                + BLOCK_HEADER_WIRE_SIZE
+                + 16  # height + proposer
+                + self.qc.wire_size()
+                + self.batch.wire_size()
+            )
+            object.__setattr__(self, "_wire_size", size)
+        return size
 
     def __repr__(self) -> str:
         return (

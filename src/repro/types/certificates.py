@@ -1,5 +1,11 @@
 """Certificates: ranks, QCs, fallback QCs/TCs, timeout certs, coin-QCs.
 
+Every type here is a frozen, slotted dataclass: a committed block keeps
+the certificate that certifies its parent for as long as the ledger does,
+so certificates carry no per-instance ``__dict__``.  A digest is memoised
+in a ``_digest`` slot that is filled on first read and takes no part in
+``==``, ``hash`` or ``repr``; ranks and payloads are rebuilt on demand.
+
 Rank ordering (the heart of the paper's safety argument): certificates and
 blocks are ranked first by view number, then — within the same view — an
 *endorsed* fallback certificate outranks any regular certificate, and ties
@@ -9,8 +15,7 @@ beyond that break by round number.  ``Rank`` encodes this as the tuple
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.crypto.hashing import Digest, hash_fields
@@ -29,10 +34,10 @@ def _signature_fingerprint(signature: ThresholdSignature) -> tuple:
     set has to hash differently from the genuine article, or a verdict
     cache keyed on digests would conflate them.
     """
-    return (signature.epoch, signature.tag, tuple(sorted(signature.signers)))
+    return (signature.epoch, signature.tag, signature.signers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rank:
     """Total order over certificates/blocks: (view, endorsed, round).
 
@@ -98,7 +103,7 @@ class Rank:
 # ----------------------------------------------------------------------
 # Quorum certificates
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QC:
     """Quorum certificate for a regular block.
 
@@ -109,29 +114,34 @@ class QC:
     round: int
     view: int
     signature: ThresholdSignature
+    _digest: Optional[Digest] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    @cached_property
+    @property
     def rank(self) -> Rank:
         return Rank(view=self.view, endorsed=False, round=self.round)
 
-    @cached_property
-    def _payload(self) -> tuple:
-        return ("vote", self.block_id, self.round, self.view)
-
     def payload(self) -> tuple:
         """The signed payload (what shares were computed over)."""
-        return self._payload
+        return ("vote", self.block_id, self.round, self.view)
 
-    @cached_property
+    @property
     def digest(self) -> Digest:
         """Canonical content digest (verified-certificate cache key)."""
-        return hash_fields("qc-digest", self._payload, _signature_fingerprint(self.signature))
+        digest = self._digest
+        if digest is None:
+            digest = hash_fields(
+                "qc-digest", self.payload(), _signature_fingerprint(self.signature)
+            )
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def wire_size(self) -> int:
         return CERT_HEADER_WIRE_SIZE + self.signature.wire_size()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FallbackQC:
     """Quorum certificate for a fallback block (f-QC).
 
@@ -144,14 +154,16 @@ class FallbackQC:
     height: int
     proposer: int
     signature: ThresholdSignature
+    _digest: Optional[Digest] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    @cached_property
+    @property
     def rank(self) -> Rank:
         """Rank as an *unendorsed* certificate (fallback-internal use)."""
         return Rank(view=self.view, endorsed=False, round=self.round)
 
-    @cached_property
-    def _payload(self) -> tuple:
+    def payload(self) -> tuple:
         return (
             "fvote",
             self.block_id,
@@ -161,19 +173,22 @@ class FallbackQC:
             self.proposer,
         )
 
-    def payload(self) -> tuple:
-        return self._payload
-
-    @cached_property
+    @property
     def digest(self) -> Digest:
         """Canonical content digest (verified-certificate cache key)."""
-        return hash_fields("fqc-digest", self._payload, _signature_fingerprint(self.signature))
+        digest = self._digest
+        if digest is None:
+            digest = hash_fields(
+                "fqc-digest", self.payload(), _signature_fingerprint(self.signature)
+            )
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def wire_size(self) -> int:
         return CERT_HEADER_WIRE_SIZE + 16 + self.signature.wire_size()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoinQC:
     """Leader-election certificate: f+1 coin shares revealed view's leader.
 
@@ -184,17 +199,24 @@ class CoinQC:
     view: int
     leader: int
     proof_tag: Digest
+    _digest: Optional[Digest] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    @cached_property
+    @property
     def digest(self) -> Digest:
         """Canonical content digest (verified-certificate cache key)."""
-        return hash_fields("coinqc-digest", self.view, self.leader, self.proof_tag)
+        digest = self._digest
+        if digest is None:
+            digest = hash_fields("coinqc-digest", self.view, self.leader, self.proof_tag)
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def wire_size(self) -> int:
         return COIN_QC_WIRE_SIZE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndorsedFallbackQC:
     """An f-QC by the view's elected leader, plus the electing coin-QC.
 
@@ -204,6 +226,9 @@ class EndorsedFallbackQC:
 
     fqc: FallbackQC
     coin_qc: CoinQC
+    _digest: Optional[Digest] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.fqc.view != self.coin_qc.view:
@@ -229,14 +254,18 @@ class EndorsedFallbackQC:
     def view(self) -> int:
         return self.fqc.view
 
-    @cached_property
+    @property
     def rank(self) -> Rank:
         return Rank(view=self.fqc.view, endorsed=True, round=self.fqc.round)
 
-    @cached_property
+    @property
     def digest(self) -> Digest:
         """Canonical content digest (verified-certificate cache key)."""
-        return hash_fields("endorsed-digest", self.fqc.digest, self.coin_qc.digest)
+        digest = self._digest
+        if digest is None:
+            digest = hash_fields("endorsed-digest", self.fqc.digest, self.coin_qc.digest)
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def wire_size(self) -> int:
         return self.fqc.wire_size() + self.coin_qc.wire_size()
@@ -254,47 +283,57 @@ def max_cert(a: ParentCert, b: ParentCert) -> ParentCert:
 # ----------------------------------------------------------------------
 # Timeout certificates
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeoutCertificate:
     """Round-timeout certificate (baseline DiemBFT pacemaker)."""
 
     round: int
     signature: ThresholdSignature
-
-    @cached_property
-    def _payload(self) -> tuple:
-        return ("timeout", self.round)
+    _digest: Optional[Digest] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def payload(self) -> tuple:
-        return self._payload
+        return ("timeout", self.round)
 
-    @cached_property
+    @property
     def digest(self) -> Digest:
         """Canonical content digest (verified-certificate cache key)."""
-        return hash_fields("tc-digest", self._payload, _signature_fingerprint(self.signature))
+        digest = self._digest
+        if digest is None:
+            digest = hash_fields(
+                "tc-digest", self.payload(), _signature_fingerprint(self.signature)
+            )
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def wire_size(self) -> int:
         return CERT_HEADER_WIRE_SIZE + self.signature.wire_size()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FallbackTC:
     """View-timeout certificate (f-TC): 2f+1 shares over a view number."""
 
     view: int
     signature: ThresholdSignature
-
-    @cached_property
-    def _payload(self) -> tuple:
-        return ("ftimeout", self.view)
+    _digest: Optional[Digest] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def payload(self) -> tuple:
-        return self._payload
+        return ("ftimeout", self.view)
 
-    @cached_property
+    @property
     def digest(self) -> Digest:
         """Canonical content digest (verified-certificate cache key)."""
-        return hash_fields("ftc-digest", self._payload, _signature_fingerprint(self.signature))
+        digest = self._digest
+        if digest is None:
+            digest = hash_fields(
+                "ftc-digest", self.payload(), _signature_fingerprint(self.signature)
+            )
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def wire_size(self) -> int:
         return CERT_HEADER_WIRE_SIZE + self.signature.wire_size()
@@ -316,7 +355,7 @@ def genesis_qc(genesis_block_id: Digest) -> QC:
         block_id=genesis_block_id,
         round=0,
         view=0,
-        signature=ThresholdSignature(epoch=0, tag=GENESIS_TAG, signers=frozenset()),
+        signature=ThresholdSignature(epoch=0, tag=GENESIS_TAG, signers=()),
     )
 
 

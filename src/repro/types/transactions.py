@@ -9,7 +9,6 @@ ordered tuple of transactions plus a digest used in the block id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from repro.crypto.hashing import Digest, hash_fields
@@ -18,7 +17,7 @@ from repro.crypto.hashing import Digest, hash_fields
 TRANSACTION_OVERHEAD = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A client command submitted for replication.
 
@@ -40,11 +39,27 @@ class Transaction:
         return TRANSACTION_OVERHEAD + self.payload_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Batch:
-    """The ``txn`` component of a block."""
+    """The ``txn`` component of a block.
 
-    transactions: tuple[Transaction, ...] = field(default_factory=tuple)
+    The digest is computed when the batch is built, since every block id
+    reads it; the modeled wire size is memoised in a slot on first use.
+    Neither takes part in ``==`` or ``hash``.
+    """
+
+    transactions: tuple[Transaction, ...] = ()
+    digest: Digest = field(init=False, repr=False, compare=False)
+    _wire_size: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "digest",
+            hash_fields("batch", tuple(tx.tx_id for tx in self.transactions)),
+        )
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -52,16 +67,12 @@ class Batch:
     def __iter__(self):
         return iter(self.transactions)
 
-    @cached_property
-    def digest(self) -> Digest:
-        return hash_fields("batch", tuple(tx.tx_id for tx in self.transactions))
-
-    @cached_property
-    def _wire_size(self) -> int:
-        return sum(tx.wire_size() for tx in self.transactions)
-
     def wire_size(self) -> int:
-        return self._wire_size
+        size = self._wire_size
+        if size is None:
+            size = sum(tx.wire_size() for tx in self.transactions)
+            object.__setattr__(self, "_wire_size", size)
+        return size
 
     @classmethod
     def of(cls, transactions: Iterable[Transaction]) -> "Batch":

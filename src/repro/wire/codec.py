@@ -89,7 +89,7 @@ from repro.types.messages import (
     Proposal,
     Vote,
 )
-from repro.types.transactions import Batch, Transaction
+from repro.types.transactions import EMPTY_BATCH, Batch, Transaction
 
 #: Bump on ANY layout change (see module docstring for the rules).
 WIRE_VERSION = 1
@@ -255,9 +255,8 @@ def _write_tsig(w: _Writer, signature: ThresholdSignature) -> None:
     start = len(w.buf)
     w.i64(signature.epoch)
     w.digest(signature.tag)
-    signers = sorted(signature.signers)
-    w.u16(len(signers))
-    for signer in signers:
+    w.u16(len(signature.signers))
+    for signer in signature.signers:  # sorted when the signature was built
         w.u16(signer)
     natural = len(w.buf) - start
     if natural < THRESHOLD_SIG_WIRE_SIZE:
@@ -269,14 +268,13 @@ def _read_tsig(r: _Reader) -> ThresholdSignature:
     epoch = r.i64()
     tag = r.digest()
     count = r.u16()
-    signers = [r.u16() for _ in range(count)]
-    unique = frozenset(signers)
-    if len(unique) != count:
+    signers = tuple(r.u16() for _ in range(count))
+    if len(set(signers)) != count:
         raise DecodeError("duplicate signer in threshold signature")
     natural = r.pos - start
     if natural < THRESHOLD_SIG_WIRE_SIZE:
         r.skip_zeros(THRESHOLD_SIG_WIRE_SIZE - natural)
-    return ThresholdSignature(epoch=epoch, tag=tag, signers=unique)
+    return ThresholdSignature(epoch=epoch, tag=tag, signers=signers)
 
 
 def _write_share(w: _Writer, share: ThresholdSignatureShare) -> None:
@@ -467,6 +465,8 @@ def _write_batch(w: _Writer, batch: Batch) -> None:
 
 def _read_batch(r: _Reader) -> Batch:
     count = r.u16()
+    if count == 0:
+        return EMPTY_BATCH
     return Batch(transactions=tuple(_read_transaction(r) for _ in range(count)))
 
 

@@ -66,15 +66,6 @@ def test_ancestors():
     assert with_self[0] is blocks[2]
 
 
-def test_extends():
-    store = BlockStore()
-    blocks = chain_of(store, 3)
-    assert store.extends(blocks[2], blocks[0].id)
-    assert store.extends(blocks[2], blocks[2].id)  # a block extends itself
-    assert store.extends(blocks[2], store.genesis.id)
-    assert not store.extends(blocks[0], blocks[2].id)
-
-
 def test_chain_to():
     store = BlockStore()
     blocks = chain_of(store, 3)
@@ -110,9 +101,3 @@ def test_ancestors_stop_at_gap():
     orphan = Block(qc=dangling_qc, round=6, view=0, author=0)
     store.add(orphan)
     assert list(store.ancestors(orphan)) == []
-
-
-def test_all_blocks():
-    store = BlockStore()
-    chain_of(store, 2)
-    assert len(store.all_blocks()) == 3

@@ -145,6 +145,61 @@ def test_constructor_validation_surfaces_as_decode_error(samples):
             pytest.fail(f"offset {offset} raised {type(exc).__name__}: {exc}")
 
 
+# ----------------------------------------------------------------------
+# Canonical signer tuples and the shared empty batch
+# ----------------------------------------------------------------------
+def _ftc_message(signers):
+    from repro.crypto.threshold import ThresholdSignature
+    from repro.types.certificates import FallbackTC
+    from repro.types.messages import FallbackTCMessage
+
+    signature = ThresholdSignature(epoch=3, tag="ab" * 16, signers=signers)
+    return FallbackTCMessage(ftc=FallbackTC(view=2, signature=signature))
+
+
+#: A three-signer list on the wire: u16 count, then u16 per signer.
+_SIGNERS_012 = b"\x00\x03\x00\x00\x00\x01\x00\x02"
+
+
+def test_signers_in_any_order_canonicalise():
+    messages = [_ftc_message(order) for order in ([2, 0, 1], (1, 2, 0), {0, 1, 2})]
+    assert {m.ftc.signature.signers for m in messages} == {(0, 1, 2)}
+    encodings = {encode_message(0, m) for m in messages}
+    assert len(encodings) == 1
+    assert all(m == messages[0] and hash(m) == hash(messages[0]) for m in messages)
+
+    # Unsorted signers on the wire decode to the same object and re-encode
+    # to the canonical bytes.
+    [data] = encodings
+    assert data.count(_SIGNERS_012) == 1
+    shuffled = data.replace(_SIGNERS_012, b"\x00\x03\x00\x02\x00\x00\x00\x01")
+    _, decoded = decode_message(shuffled)
+    assert decoded == messages[0]
+    assert encode_message(0, decoded) == data
+
+
+def test_duplicate_signers_on_the_wire_rejected():
+    data = encode_message(0, _ftc_message((0, 1, 2)))
+    duplicated = data.replace(_SIGNERS_012, b"\x00\x03\x00\x01\x00\x01\x00\x02")
+    with pytest.raises(DecodeError, match="duplicate signer"):
+        decode_message(duplicated)
+
+
+def test_empty_batch_decodes_to_the_shared_instance(samples):
+    from repro.types.blocks import Block
+    from repro.types.messages import Proposal
+    from repro.types.transactions import EMPTY_BATCH, Batch
+
+    block = samples["block"]
+    for batch in (EMPTY_BATCH, Batch.of([])):
+        empty = Block(qc=block.qc, round=9, view=1, batch=batch, author=1)
+        data = encode_message(0, Proposal(block=empty))
+        _, decoded = decode_message(data)
+        assert decoded.block.batch is EMPTY_BATCH
+        assert decoded.block.id == empty.id
+        assert encode_message(0, decoded) == data
+
+
 def test_unencodable_message_raises_encode_error():
     class Mystery:
         pass
