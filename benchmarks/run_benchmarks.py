@@ -17,7 +17,6 @@ Usage::
     PYTHONPATH=src python benchmarks/run_benchmarks.py --label "my change"
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick   # smoke only
     PYTHONPATH=src python benchmarks/run_benchmarks.py --profile # cProfile
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --complexity
     PYTHONPATH=src python benchmarks/run_benchmarks.py \
         --import-results old.json --label baseline --commit abc1234
 """
@@ -138,24 +137,6 @@ def run_profile(scenario: str, seed: int, top: int = 25) -> int:
     return 0
 
 
-def run_complexity(args) -> int:
-    """Run the O(n)-vs-O(n²) sweep (see :mod:`benchmarks.bench_complexity`)."""
-    from bench_complexity import DEFAULT_NS, render, run_sweep
-
-    sweep = run_sweep(list(DEFAULT_NS), seed=args.seed)
-    print()
-    print(render(sweep))
-    bad = [
-        fit
-        for fit in sweep["fits"]
-        if fit["claimed"] is not None and not fit["matches_claim"]
-    ]
-    if bad:
-        print(f"COMPLEXITY MISMATCH vs Table 1: {bad}")
-        return 2
-    return 0
-
-
 def check_parallel_sweep(processes: int = 2) -> dict:
     """Serial vs parallel 8-seed sweep must agree result-for-result."""
     serial = sweep_sync("fallback-3chain", 4, SWEEP_SEEDS, target_commits=20, processes=1)
@@ -208,12 +189,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="how many rows of the profile table to print",
     )
     parser.add_argument(
-        "--complexity",
-        action="store_true",
-        help="run the O(n)-vs-O(n²) complexity sweep and check the fitted "
-             "exponents against Table 1; nothing is recorded",
-    )
-    parser.add_argument(
         "--live",
         action="store_true",
         help="run the multi-process SIGKILL-chaos benchmark into "
@@ -250,9 +225,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.profile:
         return run_profile(args.profile_scenario, args.seed, args.profile_top)
-
-    if args.complexity:
-        return run_complexity(args)
 
     if args.live:
         return run_live(args, timestamp)

@@ -86,56 +86,3 @@ def classify_complexity(slope: float, tolerance: float = 0.35) -> str:
     if abs(slope - 2.0) <= tolerance:
         return "quadratic"
     return f"~n^{slope:.2f}"
-
-
-#: Table 1's claimed asymptotic message complexity per decision, as an
-#: exponent of n.  The steady path is linear (leader collects votes, one
-#: proposal + n votes per decision); the fallback is quadratic (every
-#: replica drives its own leaderless chain, all-to-all per view).
-TABLE1_EXPONENTS = {
-    "steady": 1.0,
-    "fallback": 2.0,
-}
-
-
-@dataclass
-class ScalingFit:
-    """A fitted scaling exponent for one regime/metric, vs the paper."""
-
-    regime: str  # "steady" | "fallback"
-    metric: str  # "messages" | "bytes"
-    ns: tuple[int, ...]
-    costs: tuple[float, ...]
-    slope: float
-    claimed: Optional[float]
-
-    @property
-    def label(self) -> str:
-        return classify_complexity(self.slope)
-
-    def matches_claim(self, tolerance: float = 0.5) -> bool:
-        """Does the measured exponent agree with Table 1?
-
-        ``bytes`` fits get no claim (the paper states message complexity);
-        they always "match".  The tolerance is loose by design: small-n
-        sweeps carry constant-factor contamination (the +1 in n+1 messages
-        matters at n=4), so this guards regressions, not decimals.
-        """
-        if self.claimed is None:
-            return True
-        return abs(self.slope - self.claimed) <= tolerance
-
-
-def fit_sweep(
-    regime: str, metric: str, ns: Sequence[int], costs: Sequence[float]
-) -> ScalingFit:
-    """Fit one sweep's scaling exponent and pair it with Table 1's claim."""
-    claimed = TABLE1_EXPONENTS.get(regime) if metric == "messages" else None
-    return ScalingFit(
-        regime=regime,
-        metric=metric,
-        ns=tuple(ns),
-        costs=tuple(costs),
-        slope=fit_loglog_slope(ns, costs),
-        claimed=claimed,
-    )

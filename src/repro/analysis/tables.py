@@ -1,8 +1,7 @@
-"""Plain-text table rendering for benchmark output.
+"""Plain-text table rendering for command-line and example output.
 
-The benchmark harness prints the same rows the paper reports (Table 1 and
-the per-claim experiments); this module holds the small formatting helpers
-so every bench renders consistently.
+The small formatting helpers the CLI, the examples and the paper's claims
+(:mod:`repro.experiments.claims`) share, so every table renders alike.
 """
 
 from __future__ import annotations
@@ -42,27 +41,3 @@ def fmt_cost(cost: Optional[float]) -> str:
     if cost is None:
         return "no decisions (not live)"
     return f"{cost:.1f}"
-
-
-def render_scaling_table(fits: Sequence) -> str:
-    """Render :class:`~repro.analysis.complexity.ScalingFit` rows next to
-    Table 1's claimed exponents (messages rows only carry a claim)."""
-    rows = []
-    for fit in fits:
-        claimed = f"n^{fit.claimed:.0f}" if fit.claimed is not None else "-"
-        verdict = "ok" if fit.matches_claim() else "MISMATCH"
-        rows.append(
-            [
-                fit.regime,
-                fit.metric,
-                f"n^{fit.slope:.2f}",
-                fit.label,
-                claimed,
-                verdict if fit.claimed is not None else "-",
-            ]
-        )
-    return render_table(
-        ["regime", "metric", "fitted", "class", "Table 1", "verdict"],
-        rows,
-        title="Scaling exponents (log-log fit of per-decision cost vs n)",
-    )

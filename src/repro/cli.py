@@ -5,8 +5,8 @@ Examples::
     python -m repro protocols
     python -m repro run --protocol fallback-3chain --n 7 --network attack --commits 20
     python -m repro run --n 4 --byzantine 0:withhold --commits 30
-    python -m repro table1 --n 7
-    python -m repro scaling --sizes 4 7 10 16
+    python -m repro claims            # the paper's claims E1-E12, judged
+    python -m repro claims --write    # ... and refresh EXPERIMENTS.md's tables
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.complexity import classify_complexity, fit_loglog_slope
 from repro.analysis.safety import check_cluster_safety
 from repro.analysis.tables import fmt_cost, render_table
-from repro.experiments.scenarios import (
-    leader_attack_factory,
-    run_async_attack,
-    run_sync,
-)
+from repro.experiments.scenarios import leader_attack_factory
 from repro.faults import (
     CrashReplica,
     EquivocatingLeader,
@@ -412,47 +407,24 @@ def _git_changed_paths(repo_root) -> "set[str]":
     return changed
 
 
-def cmd_table1(args) -> int:
-    rows = []
-    for name in sorted(PROTOCOLS):
-        sync = run_sync(name, n=args.n, seed=args.seed, target_commits=args.commits)
-        attack = run_async_attack(name, n=args.n, seed=args.seed,
-                                  target_commits=max(args.commits // 4, 4),
-                                  until=args.until)
-        rows.append([
-            name,
-            PROTOCOLS[name].paper_sync_cost,
-            fmt_cost(sync.messages_per_decision),
-            fmt_cost(attack.messages_per_decision),
-            "live" if attack.live else "NOT LIVE",
-        ])
-    print(render_table(
-        ["protocol", "paper sync", "sync msgs/dec", "async msgs/dec", "async liveness"],
-        rows,
-        title=f"Table 1 at n={args.n}",
-    ))
-    return 0
+def cmd_claims(args) -> int:
+    """Run every paper claim (EXPERIMENTS.md rows E1-E12) and judge it."""
+    from repro.experiments import claims
 
-
-def cmd_scaling(args) -> int:
-    rows = []
-    sync_costs, async_costs = [], []
-    for n in args.sizes:
-        sync = run_sync("fallback-3chain", n=n, seed=args.seed, target_commits=30)
-        attack = run_async_attack("fallback-3chain", n=n, seed=args.seed,
-                                  target_commits=8, until=args.until)
-        sync_costs.append(sync.messages_per_decision)
-        async_costs.append(attack.messages_per_decision)
-        rows.append([n, fmt_cost(sync.messages_per_decision),
-                     fmt_cost(attack.messages_per_decision)])
-    print(render_table(["n", "sync msgs/dec", "async msgs/dec"], rows,
-                       title="Theorem 9 scaling"))
-    if len(args.sizes) >= 2:
-        sync_slope = fit_loglog_slope(args.sizes, sync_costs)
-        async_slope = fit_loglog_slope(args.sizes, async_costs)
-        print(f"sync slope  {sync_slope:.2f} ({classify_complexity(sync_slope)})")
-        print(f"async slope {async_slope:.2f} ({classify_complexity(async_slope)})")
-    return 0
+    verdicts = []
+    for key, measure in claims.CLAIMS.items():
+        verdict = measure()
+        verdicts.append(verdict)
+        print(f"## {key} — {verdict.title}: "
+              f"{'FAILS' if verdict.failures else 'holds'}\n")
+        print(verdict.markdown() + "\n")
+    if args.write:
+        path = claims.EXPERIMENTS_MD
+        path.write_text(
+            claims.splice(path.read_text(encoding="utf-8"), verdicts), encoding="utf-8"
+        )
+        print(f"rewrote the generated tables of {path}")
+    return 1 if any(verdict.failures for verdict in verdicts) else 0
 
 
 def cmd_saturate(args) -> int:
@@ -630,16 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "neighborhood so interprocedural rules still see "
                            "cross-function regressions")
 
-    table1 = sub.add_parser("table1", help="reproduce Table 1")
-    table1.add_argument("--n", type=int, default=4)
-    table1.add_argument("--seed", type=int, default=1)
-    table1.add_argument("--commits", type=int, default=30)
-    table1.add_argument("--until", type=float, default=20_000.0)
-
-    scaling = sub.add_parser("scaling", help="Theorem 9 scaling sweep")
-    scaling.add_argument("--sizes", type=int, nargs="+", default=[4, 7, 10, 16])
-    scaling.add_argument("--seed", type=int, default=2)
-    scaling.add_argument("--until", type=float, default=50_000.0)
+    claims = sub.add_parser(
+        "claims", help="run and judge the paper's claims (EXPERIMENTS.md E1-E12)"
+    )
+    claims.add_argument("--write", action="store_true",
+                        help="also rewrite the generated tables in EXPERIMENTS.md")
 
     saturate = sub.add_parser(
         "saturate",
@@ -677,10 +644,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_live(args)
     if args.command == "lint":
         return cmd_lint(args)
-    if args.command == "table1":
-        return cmd_table1(args)
-    if args.command == "scaling":
-        return cmd_scaling(args)
+    if args.command == "claims":
+        return cmd_claims(args)
     if args.command == "saturate":
         return cmd_saturate(args)
     raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover

@@ -122,34 +122,11 @@ def sweep_sync(
     return run_seed_sweep(task, seeds, processes=processes)
 
 
-def sweep_async_attack(
-    protocol: str,
-    n: int,
-    seeds: Sequence[int],
-    target_commits: int = 10,
-    until: float = 50_000.0,
-    processes: Optional[int] = None,
-) -> list[ScenarioResult]:
-    """:func:`run_async_attack` over many seeds, in parallel."""
-    task = partial(
-        _run_async_seed, protocol, n, target_commits=target_commits, until=until
-    )
-    return run_seed_sweep(task, seeds, processes=processes)
-
-
 def _run_sync_seed(
     protocol: str, n: int, seed: int, target_commits: int, until: float
 ) -> ScenarioResult:
     # Module-level so functools.partial over it pickles into fork workers.
     return run_sync(protocol, n, seed=seed, target_commits=target_commits, until=until)
-
-
-def _run_async_seed(
-    protocol: str, n: int, seed: int, target_commits: int, until: float
-) -> ScenarioResult:
-    return run_async_attack(
-        protocol, n, seed=seed, target_commits=target_commits, until=until
-    )
 
 
 def table1_cell(protocol: str, n: int, network: str, seed: int = 0) -> ScenarioResult:

@@ -83,10 +83,3 @@ class BlockStore:
             chain.append(current)
             current = self.parent(current)
         return None
-
-    def missing_parent(self, block: AnyBlock) -> Optional[Digest]:
-        """Id of the block's parent if we don't have it yet, else None."""
-        parent_id = block.parent_id
-        if parent_id is not None and parent_id not in self._blocks:
-            return parent_id
-        return None

@@ -3,7 +3,7 @@
 The simulator's headline claims — byte-identical commit-trace fingerprints
 across runs, safety of the steady state plus asynchronous fallback, and
 modeled-vs-encoded wire-size parity — rest on invariants that are easy to
-break with an innocent-looking edit: unseeded randomness in the simulator,
+break with an innocent-looking edit: hash-ordered iteration in the simulator,
 a message type the codec cannot ship, a lock update outside the safety
 module.  This package checks those invariants statically, before a 10k-event
 fingerprint diff has to find them at runtime.

@@ -3,10 +3,10 @@
 The benchmark suite (``BENCH_simcore.json``) pins byte-identical
 commit-trace fingerprints across runs, and the common-coin leader election
 (Lemma 7) assumes the adversary cannot bias the coin — both break the
-moment simulation-side code draws unseeded randomness or iterates a
-hash-ordered container where order reaches protocol state.  (Wall-clock
-reads are left to the tier-1 fingerprint and simulation tests, which
-fail on one; see "Retired rules" in docs/STATIC_ANALYSIS.md.)
+moment simulation-side code iterates a hash-ordered container where
+order reaches protocol state.  (Wall-clock reads and unseeded randomness
+are left to the tier-1 fingerprint and simulation tests, which fail on
+either; see "Retired rules" in docs/STATIC_ANALYSIS.md.)
 
 Scope: ``repro.core``, ``repro.sim``, ``repro.crypto`` and the simulated
 side of ``repro.net``.  The live runtime (``repro.runtime.live``,
@@ -22,7 +22,6 @@ from typing import Dict, Iterator, List, Set, Tuple
 from repro.lint.astutil import (
     is_set_expression,
     iter_comprehension_iters,
-    resolve_call,
     under_prefix,
 )
 from repro.lint.engine import Finding, ParsedModule, Rule, register_rule
@@ -32,40 +31,6 @@ DETERMINISTIC_PREFIXES = ("repro.core", "repro.sim", "repro.crypto", "repro.net"
 
 #: Modules inside those packages that are wall-clock by design (live side).
 LIVE_SIDE_MODULES = frozenset({"repro.net.tcp"})
-
-#: Call targets that draw operating-system / unseeded randomness.
-ENTROPY_CALLS = frozenset(
-    {
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "random.SystemRandom",
-    }
-)
-
-#: ``random.<fn>`` module-level draws come from the shared, unseeded global
-#: Random instance; everything here perturbs (or is perturbed by) any other
-#: component that touches it.  ``random.Random(seed)`` is the sanctioned
-#: alternative and stays allowed.
-GLOBAL_RANDOM_FUNCTIONS = frozenset(
-    {
-        "random.random",
-        "random.randint",
-        "random.randrange",
-        "random.choice",
-        "random.choices",
-        "random.sample",
-        "random.shuffle",
-        "random.uniform",
-        "random.gauss",
-        "random.expovariate",
-        "random.getrandbits",
-        "random.betavariate",
-        "random.normalvariate",
-        "random.seed",
-    }
-)
 
 
 def in_deterministic_scope(module: ParsedModule) -> bool:
@@ -78,51 +43,6 @@ def in_deterministic_scope(module: ParsedModule) -> bool:
 class _DeterministicScopeRule(Rule):
     def applies_to(self, module: ParsedModule) -> bool:
         return not module.is_test and in_deterministic_scope(module)
-
-
-@register_rule
-class UnseededRandomRule(_DeterministicScopeRule):
-    """Forbid unseeded / OS randomness in simulation-side code."""
-
-    id = "unseeded-random"
-    description = "no os.urandom / global random.* / uuid4 in sim-side code; seeded random.Random(seed) is fine"
-    rationale = (
-        "Every random draw must derive from the run seed "
-        "(Scheduler.rng / child_rng) so delay models, workloads and the "
-        "common coin replay identically; the global random module and OS "
-        "entropy break seed-purity."
-    )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        imports = module.imports
-        for node in module.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = resolve_call(imports, node.func)
-            if resolved is None:
-                continue
-            if resolved in ENTROPY_CALLS or resolved.startswith("secrets."):
-                yield self.finding(
-                    module,
-                    node,
-                    f"OS/unseeded entropy {resolved}() in deterministic "
-                    f"module {module.module}; derive randomness from the run seed",
-                )
-            elif resolved in GLOBAL_RANDOM_FUNCTIONS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"global {resolved}() draws from the shared unseeded "
-                    "Random instance; use random.Random(seed) or "
-                    "Scheduler.child_rng",
-                )
-            elif resolved == "random.Random" and not (node.args or node.keywords):
-                yield self.finding(
-                    module,
-                    node,
-                    "random.Random() without a seed falls back to OS entropy; "
-                    "pass an explicit seed",
-                )
 
 
 @register_rule

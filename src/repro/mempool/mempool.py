@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.types.transactions import Batch, Transaction
+from repro.types.transactions import EMPTY_BATCH, Batch, Transaction
 
 if TYPE_CHECKING:
     from repro.traffic.envelope import TrafficEnvelope
@@ -84,7 +84,9 @@ class Mempool:
     def next_batch(self) -> Batch:
         """Peek the next batch to propose (does not remove — transactions
         leave the pool only when committed, so a failed proposal's payload
-        is re-proposed later)."""
+        is re-proposed later).  An idle pool shares ``EMPTY_BATCH``."""
+        if not self._pending:
+            return EMPTY_BATCH
         take = list(islice(self._pending.values(), self.batch_size))
         return Batch.of(take)
 

@@ -166,3 +166,32 @@ def test_clients_confirm_over_a_lossy_transport():
     assert cluster.total_confirmations() >= 5
     assert cluster.network.untyped_messages == 0
     assert_cluster_safety(cluster.honest_replicas())
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        NoLoss(),
+        IIDLoss(drop=0.1, duplicate=0.05),
+        IIDLoss(drop=0.2, duplicate=0.05),
+        IIDLoss(drop=0.3, duplicate=0.05),
+        BurstLoss(p_enter_bad=0.05, p_exit_bad=0.25, bad_drop=0.9),
+    ],
+    ids=["none", "iid-0.1", "iid-0.2", "iid-0.3", "burst"],
+)
+def test_goodput_vs_loss_model(loss):
+    """The loss-rate sweep: 300 s over the reliable channels at each point
+    commits, stays safe, and bills channel frames only to their own
+    counters, never to the protocol's per-type message counts."""
+    cluster = (
+        ClusterBuilder(n=4, seed=15).with_preload(10_000).with_loss_model(loss).build()
+    )
+    cluster.run(until=300.0)
+    metrics = cluster.metrics
+    assert metrics.decisions() > 0
+    assert_cluster_safety(cluster.honest_replicas())
+    assert cluster.network.untyped_messages == 0
+    assert "DataPacket" not in metrics.message_counts
+    assert "AckPacket" not in metrics.message_counts
+    if not isinstance(loss, NoLoss):
+        assert metrics.retransmissions > 0

@@ -85,16 +85,6 @@ def test_chain_to_unrelated_returns_none():
     assert store.chain_to(fork, blocks[1].id) is None
 
 
-def test_missing_parent():
-    store = BlockStore()
-    dangling_qc = make_qc(round_=5, view=0, block_id="unknown-block")
-    orphan = Block(qc=dangling_qc, round=6, view=0, author=0)
-    store.add(orphan)
-    assert store.missing_parent(orphan) == "unknown-block"
-    blocks = chain_of(store, 1)
-    assert store.missing_parent(blocks[0]) is None
-
-
 def test_ancestors_stop_at_gap():
     store = BlockStore()
     dangling_qc = make_qc(round_=5, view=0, block_id="unknown-block")

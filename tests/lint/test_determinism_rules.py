@@ -1,9 +1,8 @@
-"""Determinism rules: unseeded randomness, unordered iteration."""
+"""Determinism rules: scope and unordered iteration."""
 
 from repro.lint.astutil import resolve_call
 from repro.lint.rules.determinism import (
     UnorderedIterationRule,
-    UnseededRandomRule,
     in_deterministic_scope,
 )
 
@@ -34,78 +33,6 @@ def test_import_map_tracks_function_local_imports():
     )
     call = module.tree.body[0].body[1].value
     assert resolve_call(module.imports, call.func) == "random.random"
-    findings = run_rule(UnseededRandomRule, module)
-    assert [f.line for f in findings] == [4]
-
-
-# ----------------------------------------------------------------------
-# unseeded-random
-# ----------------------------------------------------------------------
-def test_unseeded_random_flags_global_random_and_os_entropy():
-    module = mod(
-        """
-        import os
-        import random
-
-        def draw():
-            return random.random(), os.urandom(8)
-        """,
-        "repro.net.loss",
-    )
-    findings = run_rule(UnseededRandomRule, module)
-    assert len(findings) == 2
-
-
-def test_unseeded_random_flags_seedless_random_instance():
-    module = mod(
-        """
-        import random
-
-        def make_rng():
-            return random.Random()
-        """,
-        "repro.sim.scheduler",
-    )
-    findings = run_rule(UnseededRandomRule, module)
-    assert len(findings) == 1
-    assert "without a seed" in findings[0].message
-
-
-def test_unseeded_random_allows_seeded_random_instance():
-    module = mod(
-        """
-        import random
-
-        def make_rng(seed):
-            return random.Random(seed)
-        """,
-        "repro.sim.scheduler",
-    )
-    assert run_rule(UnseededRandomRule, module) == []
-
-
-def test_unseeded_random_allows_child_rng_draws():
-    module = mod(
-        """
-        def sample_delay(self):
-            return self.rng.expovariate(1.0)
-        """,
-        "repro.net.loss",
-    )
-    assert run_rule(UnseededRandomRule, module) == []
-
-
-def test_unseeded_random_flags_secrets_module():
-    module = mod(
-        """
-        import secrets
-
-        def token():
-            return secrets.token_bytes(32)
-        """,
-        "repro.crypto.keys",
-    )
-    assert len(run_rule(UnseededRandomRule, module)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -206,14 +133,11 @@ def test_unordered_iteration_rebound_name_is_not_flagged():
 def test_rules_skip_test_modules():
     module = mod(
         """
-        import random
-
         def draw(peers):
             for peer in {1, 2}:
-                random.random()
+                send(peer)
         """,
         "tests.sim.test_scheduler",
         is_test=True,
     )
-    assert run_rule(UnseededRandomRule, module) == []
     assert run_rule(UnorderedIterationRule, module) == []

@@ -41,7 +41,7 @@ def test_cli_lint_json_output(capsys):
 
 
 def test_cli_lint_rule_subset(capsys):
-    assert main(["lint", "--rule", "unseeded-random", "--rule", "hot-path"]) == 0
+    assert main(["lint", "--rule", "unordered-iteration", "--rule", "hot-path"]) == 0
     capsys.readouterr()
 
 

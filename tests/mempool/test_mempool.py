@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mempool.mempool import Mempool
-from repro.types.transactions import make_transaction
+from repro.types.transactions import EMPTY_BATCH, make_transaction
 
 
 def test_submit_and_len():
@@ -65,4 +65,7 @@ def test_negative_batch_size_rejected():
 
 def test_empty_pool_batch():
     pool = Mempool()
-    assert len(pool.next_batch()) == 0
+    assert pool.next_batch() is EMPTY_BATCH
+    pool.submit(make_transaction(0))
+    pool.mark_committed(pool.next_batch())
+    assert pool.next_batch() is EMPTY_BATCH

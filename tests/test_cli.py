@@ -80,17 +80,37 @@ def test_partition_network(capsys):
 
 
 def test_table1_command(capsys):
-    assert main(["table1", "--n", "4", "--commits", "12", "--until", "6000"]) == 0
+    assert main(["claims"]) == 0
     out = capsys.readouterr().out
-    assert "Table 1" in out
-    assert "NOT LIVE" in out  # the diembft async cell
+    assert "## E1 — Table 1: holds" in out
+    assert "| diembft | async (leader attack) | not live if async |" in out
+    assert "no decisions (not live)" in out  # the diembft async cell
+    assert "- holds: diembft is not live under the attack" in out
 
 
 def test_scaling_command(capsys):
-    assert main(["scaling", "--sizes", "4", "7", "--until", "20000"]) == 0
+    assert main(["claims"]) == 0
     out = capsys.readouterr().out
-    assert "sync slope" in out
-    assert "async slope" in out
+    assert "## E5 — Theorem 9 — scaling: holds" in out
+    assert "| log-log slope |" in out
+    assert "- holds: sync msgs/decision slope within 0.7–1.3 (O(n))" in out
+    assert "- holds: async msgs/decision slope within 1.6–2.4 (O(n²))" in out
+
+
+def test_claims_command_writes_only_generated_tables(tmp_path, monkeypatch, capsys):
+    from repro.experiments import claims
+
+    document = claims.EXPERIMENTS_MD.read_text(encoding="utf-8")
+    edited = document.replace("| 13.0 |", "| 14.0 |", 1)
+    assert edited != document
+    target = tmp_path / "EXPERIMENTS.md"
+    target.write_text(edited, encoding="utf-8")
+    monkeypatch.setattr(claims, "EXPERIMENTS_MD", target)
+    assert main(["claims", "--write"]) == 0
+    out = capsys.readouterr().out
+    assert "## E1 — Table 1: holds" in out
+    assert "no decisions (not live)" in out  # the diembft async cell
+    assert target.read_text(encoding="utf-8") == document
 
 
 def test_parser_requires_command():
