@@ -1,0 +1,70 @@
+"""Byte fence: the codec's exact output over real protocol traffic.
+
+Runs the four tier-1 fingerprint scenarios at seed 1 with every network
+send recorded, then feeds one SHA-256 with the encoding of each recorded
+message (a multicast counts once) followed by every shared wire sample.
+The pinned digest changes only if some message encodes to different bytes,
+so any rewrite of the codec that keeps this test green keeps the wire
+format byte-identical.  Each recorded message must also round-trip.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+from repro.net.network import Network
+from repro.net.reliable import ReliableNetwork
+from repro.wire.codec import decode_message, encode_message
+
+_BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+if str(_BENCHMARKS) not in sys.path:
+    sys.path.insert(0, str(_BENCHMARKS))
+
+from bench_simcore import run_scenario  # noqa: E402
+
+SCENARIOS = ("fallback-n4", "lossy20-n4", "steady-n4", "steady-n16")
+
+#: SHA-256 over every encoding above.  A change here is a wire-format
+#: change: it needs a ``WIRE_VERSION`` bump and a re-recorded digest.
+FENCE_DIGEST = "97006ab13d4035d85fa2083579543fb887125cbd67838bbe0ce66dea3fdb39f6"
+
+
+def _record_sends(monkeypatch) -> list[tuple[int, object]]:
+    """Wrap ``send`` on both network classes; keep each wire send once.
+
+    Self-deliveries never reach the wire, and skipping them also keeps a
+    reliable network's self-send (which goes through the base class) from
+    being recorded twice.
+    """
+    sent: list[tuple[int, object]] = []
+
+    for cls in (Network, ReliableNetwork):
+        original = cls.__dict__["send"]
+
+        def send(self, sender, receiver, message, _original=original):
+            if receiver != sender:
+                last = sent[-1] if sent else None
+                if last is None or last[0] != sender or last[1] is not message:
+                    sent.append((sender, message))
+            _original(self, sender, receiver, message)
+
+        monkeypatch.setattr(cls, "send", send)
+    return sent
+
+
+def test_encoded_bytes_match_the_pinned_digest(monkeypatch, samples):
+    sent = _record_sends(monkeypatch)
+    for name in SCENARIOS:
+        run_scenario(name, seed=1)
+    monkeypatch.undo()
+    digest = hashlib.sha256()
+    for sender, message in sent:
+        data = encode_message(sender, message)
+        assert decode_message(data) == (sender, message)
+        digest.update(data)
+    for message in samples["messages"]:
+        digest.update(encode_message(7, message))
+    assert len(sent) > 10_000
+    assert digest.hexdigest() == FENCE_DIGEST
