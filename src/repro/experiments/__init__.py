@@ -5,7 +5,6 @@ from repro.experiments.scenarios import (
     leader_attack_factory,
     run_async_attack,
     run_sync,
-    table1_cell,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "leader_attack_factory",
     "run_async_attack",
     "run_sync",
-    "table1_cell",
 ]

@@ -129,15 +129,6 @@ def _run_sync_seed(
     return run_sync(protocol, n, seed=seed, target_commits=target_commits, until=until)
 
 
-def table1_cell(protocol: str, n: int, network: str, seed: int = 0) -> ScenarioResult:
-    """One cell of the reproduced Table 1."""
-    if network == "sync":
-        return run_sync(protocol, n, seed=seed)
-    if network == "async":
-        return run_async_attack(protocol, n, seed=seed)
-    raise ValueError(f"unknown network regime {network!r}")
-
-
 def _summarize(
     protocol: str, n: int, network: str, cluster: Cluster, result: RunResult
 ) -> ScenarioResult:

@@ -12,8 +12,8 @@ Two rule shapes exist:
 
 - :class:`Rule` — checks one module at a time (most rules).
 - :class:`ProjectRule` — sees every parsed module at once, for
-  cross-module invariants such as "every message type has a codec tag and
-  a round-trip test" (the wire-coverage rule), through the pass's one
+  cross-module invariants such as "no blocking call is reachable from a
+  coroutine", through the pass's one
   :class:`~repro.lint.flow.project.Project`, which also carries the
   interprocedural analyses the flow rules share.
 

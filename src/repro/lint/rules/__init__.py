@@ -15,5 +15,4 @@ from repro.lint.rules import (  # noqa: F401  (registration side effects)
     swallowed_exception,
     task_lifecycle,
     unbounded_queue,
-    wire_coverage,
 )

@@ -4,8 +4,8 @@
 blocks and transactions inside them) into canonical versioned bytes and
 back; ``repro.wire.framing`` delimits those byte strings on a stream
 transport.  The live runtime (`repro.runtime.live`) ships codec output over
-real TCP sockets, and `encoded_size` supersedes the hand-maintained
-``wire_size()`` estimates wherever real byte counts are available.
+real TCP sockets.  The simulator never encodes: it bills each message's
+modeled ``wire_size()``, which ``encoded_size`` is tested to track.
 """
 
 from repro.wire.codec import (
@@ -16,8 +16,6 @@ from repro.wire.codec import (
     decode_message,
     encode_message,
     encoded_size,
-    has_codec_entry,
-    try_encoded_size,
 )
 from repro.wire.framing import (
     FRAME_HEADER_SIZE,
@@ -35,8 +33,6 @@ __all__ = [
     "decode_message",
     "encode_message",
     "encoded_size",
-    "has_codec_entry",
-    "try_encoded_size",
     "FRAME_HEADER_SIZE",
     "MAX_FRAME_SIZE",
     "FrameDecoder",

@@ -120,7 +120,6 @@ def test_get_rules_selects_subset():
 def test_registry_has_the_documented_suite():
     expected = {
         "unordered-iteration",
-        "wire-coverage",
         "safety-state",
         "asyncio-hygiene",
         "hot-path",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import ProtocolVariant
-from repro.experiments.scenarios import run_async_attack, run_sync, table1_cell
+from repro.experiments.scenarios import run_async_attack, run_sync
 from repro.protocols import PROTOCOLS, preset
 
 
@@ -53,10 +53,3 @@ def test_diembft_async_cell_reports_not_live():
     result = run_async_attack("diembft", n=4, seed=1, target_commits=4, until=1_500)
     assert not result.live
     assert result.messages_per_decision is None
-
-
-def test_table1_cell_dispatch():
-    sync = table1_cell("fallback-3chain", 4, "sync", seed=2)
-    assert sync.network == "sync"
-    with pytest.raises(ValueError):
-        table1_cell("fallback-3chain", 4, "weird")

@@ -1,28 +1,53 @@
-"""Codec round-trips, hardening against malformed bytes, and the registry."""
-
-import dataclasses
+"""Codec round-trips and hardening against malformed bytes."""
 
 import pytest
 
-from repro.types.messages import MESSAGE_OVERHEAD, Vote
+from repro.types.messages import MESSAGE_OVERHEAD, Message, Vote
 from repro.wire.codec import (
+    MESSAGE_TABLE,
     DecodeError,
     EncodeError,
-    EXTENSION_TAG_BASE,
     WIRE_VERSION,
     decode_message,
     encode_message,
     encoded_size,
-    has_codec_entry,
-    register_message,
-    try_encoded_size,
-    unregister_message,
 )
 
 
 # ----------------------------------------------------------------------
 # Round trips
 # ----------------------------------------------------------------------
+TABLE_TYPES = {cls for cls, _ in MESSAGE_TABLE.values()}
+
+
+def _message_classes():
+    """Every ``Message`` subclass the package defines (the codec imports
+    both modules that define them)."""
+    found, pending = set(), [Message]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("repro."):
+                found.add(cls)
+    return found
+
+
+@pytest.mark.parametrize(
+    "message_type",
+    sorted(_message_classes() | TABLE_TYPES, key=lambda cls: cls.__name__),
+    ids=lambda cls: cls.__name__,
+)
+def test_message_type_has_a_table_entry_and_a_round_tripping_sample(
+    message_type, samples
+):
+    name = message_type.__name__
+    assert message_type in TABLE_TYPES, f"{name} has no MESSAGE_TABLE entry"
+    cases = [m for m in samples["messages"] if type(m) is message_type]
+    assert cases, f"no tests/wire/conftest.py sample of {name}"
+    for message in cases:
+        assert decode_message(encode_message(7, message)) == (7, message)
+
+
 def test_every_message_type_round_trips(samples):
     for message in samples["messages"]:
         data = encode_message(7, message)
@@ -72,7 +97,7 @@ def test_decoded_blocks_preserve_content_hash(samples):
 # ----------------------------------------------------------------------
 def test_unknown_type_tag_rejected(samples):
     data = bytearray(encode_message(0, samples["messages"][0]))
-    data[1] = 0xFE  # unregistered extension tag
+    data[1] = 0xFE  # no table entry
     with pytest.raises(DecodeError, match="unknown message type tag"):
         decode_message(bytes(data))
 
@@ -206,66 +231,3 @@ def test_unencodable_message_raises_encode_error():
 
     with pytest.raises(EncodeError, match="no codec entry"):
         encode_message(0, Mystery())
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class _Ping:
-    nonce: int
-
-
-def _enc_ping(w, m):
-    w.i64(m.nonce)
-
-
-def _dec_ping(r):
-    return _Ping(nonce=r.i64())
-
-
-def test_extension_registration_round_trips():
-    register_message(_Ping, 0xF0, _enc_ping, _dec_ping)
-    try:
-        assert has_codec_entry(_Ping)
-        sender, decoded = decode_message(encode_message(5, _Ping(nonce=99)))
-        assert (sender, decoded) == (5, _Ping(nonce=99))
-    finally:
-        unregister_message(_Ping)
-    assert not has_codec_entry(_Ping)
-
-
-def test_extension_tags_must_be_above_core_range():
-    with pytest.raises(ValueError, match="reserved for core"):
-        register_message(_Ping, EXTENSION_TAG_BASE - 1, _enc_ping, _dec_ping)
-
-
-def test_duplicate_tag_and_type_rejected():
-    register_message(_Ping, 0xF1, _enc_ping, _dec_ping)
-    try:
-        with pytest.raises(ValueError, match="already registered"):
-            register_message(_Ping, 0xF2, _enc_ping, _dec_ping)
-
-        @dataclasses.dataclass(frozen=True)
-        class Other:
-            pass
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_message(Other, 0xF1, lambda w, m: None, lambda r: Other())
-    finally:
-        unregister_message(_Ping)
-
-
-def test_core_registrations_cannot_be_removed():
-    with pytest.raises(ValueError, match="core"):
-        unregister_message(Vote)
-    assert has_codec_entry(Vote)
-
-
-def test_try_encoded_size(samples):
-    assert try_encoded_size(samples["messages"][0]) is not None
-
-    class Unknown:
-        pass
-
-    assert try_encoded_size(Unknown()) is None

@@ -19,21 +19,38 @@ from repro.crypto.coin import CoinShare
 from repro.crypto.hashing import hash_fields
 from repro.crypto.threshold import ThresholdSignature, ThresholdSignatureShare
 from repro.types.blocks import Block, FallbackBlock
-from repro.types.certificates import CoinQC, FallbackQC, FallbackTC, QC
+from repro.types.certificates import (
+    CoinQC,
+    EndorsedFallbackQC,
+    FallbackQC,
+    FallbackTC,
+    QC,
+    TimeoutCertificate,
+)
 from repro.types.messages import (
     BlockRequest,
     BlockResponse,
     ChainRequest,
+    ChainResponse,
+    CoinQCMessage,
     CoinShareMessage,
     FallbackProposal,
+    FallbackQCMessage,
     FallbackTCMessage,
+    FallbackTimeout,
     FallbackVote,
+    PacemakerTCMessage,
     PacemakerTimeout,
     Proposal,
     Vote,
 )
 from repro.types.transactions import Batch, Transaction
-from repro.wire.codec import DecodeError, decode_message, encode_message
+from repro.wire.codec import (
+    MESSAGE_TABLE,
+    DecodeError,
+    decode_message,
+    encode_message,
+)
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -67,10 +84,21 @@ fqcs = st.builds(
     proposer=st.integers(0, 100),
     signature=tsigs,
 )
+tcs = st.builds(TimeoutCertificate, round=small_ints, signature=tsigs)
 ftcs = st.builds(FallbackTC, view=small_ints, signature=tsigs)
 coin_qcs = st.builds(
     CoinQC, view=small_ints, leader=st.integers(0, 100), proof_tag=digests
 )
+# An endorsement's coin-QC elects the f-QC's proposer in the f-QC's view.
+endorsed = st.builds(
+    lambda fqc, proof_tag: EndorsedFallbackQC(
+        fqc=fqc,
+        coin_qc=CoinQC(view=fqc.view, leader=fqc.proposer, proof_tag=proof_tag),
+    ),
+    fqcs,
+    digests,
+)
+parents = qcs | endorsed
 
 transactions = st.builds(
     Transaction,
@@ -84,7 +112,7 @@ batches = st.builds(Batch, transactions=st.tuples() | st.tuples(transactions) | 
 
 blocks = st.builds(
     Block,
-    qc=qcs,
+    qc=st.none() | parents,
     round=small_ints,
     view=small_ints,
     batch=batches,
@@ -92,17 +120,32 @@ blocks = st.builds(
 )
 fblocks = st.builds(
     FallbackBlock,
-    qc=st.one_of(qcs, fqcs),
+    qc=parents | fqcs,
     round=small_ints,
     view=small_ints,
     height=st.integers(1, 3),
     proposer=st.integers(0, 100),
     batch=batches,
 )
+any_blocks = blocks | fblocks
 
-messages = st.one_of(
-    st.builds(Vote, block_id=digests, round=small_ints, view=small_ints, share=shares),
-    st.builds(
+#: One strategy per message type; the keys must be the codec table's types.
+MESSAGE_STRATEGIES = {
+    Proposal: st.builds(Proposal, block=blocks),
+    Vote: st.builds(
+        Vote, block_id=digests, round=small_ints, view=small_ints, share=shares
+    ),
+    PacemakerTimeout: st.builds(
+        PacemakerTimeout, round=small_ints, share=shares, qc_high=parents
+    ),
+    PacemakerTCMessage: st.builds(PacemakerTCMessage, tc=tcs, qc_high=parents),
+    FallbackTimeout: st.builds(
+        FallbackTimeout, view=small_ints, share=shares, qc_high=parents
+    ),
+    FallbackTCMessage: st.builds(FallbackTCMessage, ftc=ftcs),
+    # Optional-field coverage: FallbackProposal with and without the f-TC.
+    FallbackProposal: st.builds(FallbackProposal, fblock=fblocks, ftc=st.none() | ftcs),
+    FallbackVote: st.builds(
         FallbackVote,
         block_id=digests,
         round=small_ints,
@@ -111,24 +154,31 @@ messages = st.one_of(
         proposer=st.integers(0, 100),
         share=shares,
     ),
-    st.builds(BlockRequest, block_id=digests),
-    st.builds(ChainRequest, block_id=digests, max_blocks=st.integers(1, 4096)),
-    st.builds(CoinShareMessage, share=coin_shares),
-    st.builds(PacemakerTimeout, round=small_ints, share=shares, qc_high=qcs),
-    st.builds(FallbackTCMessage, ftc=ftcs),
-    st.builds(Proposal, block=blocks),
-    st.builds(BlockResponse, block=st.one_of(blocks, fblocks)),
-    # Optional-field coverage: FallbackProposal with and without the f-TC.
-    st.builds(FallbackProposal, fblock=fblocks, ftc=st.none() | ftcs),
-    st.builds(ClientRequest, transaction=transactions),
-    st.builds(
+    FallbackQCMessage: st.builds(FallbackQCMessage, fqc=fqcs),
+    CoinShareMessage: st.builds(CoinShareMessage, share=coin_shares),
+    CoinQCMessage: st.builds(CoinQCMessage, coin_qc=coin_qcs),
+    BlockRequest: st.builds(BlockRequest, block_id=digests),
+    BlockResponse: st.builds(BlockResponse, block=any_blocks),
+    ChainRequest: st.builds(
+        ChainRequest, block_id=digests, max_blocks=st.integers(1, 4096)
+    ),
+    ChainResponse: st.builds(
+        ChainResponse, blocks=st.lists(any_blocks, max_size=3).map(tuple)
+    ),
+    ClientRequest: st.builds(ClientRequest, transaction=transactions),
+    ClientReply: st.builds(
         ClientReply,
         tx_id=st.text(max_size=40),
         position=small_ints,
         block_id=digests,
         replica=st.integers(0, 100),
     ),
-)
+}
+messages = st.one_of(*MESSAGE_STRATEGIES.values())
+
+
+def test_every_table_type_is_fuzzed():
+    assert set(MESSAGE_STRATEGIES) == {cls for cls, _ in MESSAGE_TABLE.values()}
 
 
 # ----------------------------------------------------------------------
