@@ -54,7 +54,7 @@ from repro.types.certificates import (
     genesis_qc,
     max_cert,
 )
-from repro.types.transactions import Batch
+from repro.types.transactions import Batch, Transaction
 from repro.crypto.signatures import SignatureError
 from repro.crypto.threshold import ThresholdSignatureShare
 from repro.client.client import ClientReply, ClientRequest
@@ -77,6 +77,7 @@ from repro.types.messages import (
 )
 
 ROUND_TIMER = "round"
+PACE_TIMER = "pace"
 SYNC_TIMER_PREFIX = "sync:"
 
 
@@ -128,6 +129,7 @@ class Replica(Process):
         self.observer = observer or ReplicaObserver()
         self.schedule = LeaderSchedule(config.n)
         self.mempool = mempool if mempool is not None else Mempool(config.batch_size)
+        self.mempool.add_listener(self._wake_on_arrival)
         # Adaptive proposal batching (opt-in): with the flag off this stays
         # None and the flag-off hot path is a single identity check — no
         # traffic objects exist, so recorded fingerprints are unaffected.
@@ -137,7 +139,9 @@ class Replica(Process):
             from repro.traffic.envelope import TrafficEnvelope
 
             envelope = TrafficEnvelope()
-            self.mempool.attach_envelope(envelope, lambda: self.now)
+            self.mempool.add_listener(
+                lambda transaction, _: envelope.observe(transaction.client, self.now)
+            )
             self._batch_controller = AdaptiveBatchController(
                 max_batch=config.adaptive_max_batch,
                 start=config.batch_size,
@@ -165,6 +169,12 @@ class Replica(Process):
 
         # Proposals made, keyed (view, round): the leader proposes once.
         self._proposed: set[tuple[int, int]] = set()
+
+        # Idle pacing (see maybe_propose): the block this replica last voted
+        # for and when, and the (view, round) whose proposal it is holding
+        # back, if any.
+        self._last_vote: tuple[str, float] = ("", 0.0)
+        self._idle_key: Optional[tuple[int, int]] = None
 
         # Certificates whose blocks we have not received yet.
         self._pending_certs: list[AnyCert] = []
@@ -243,6 +253,9 @@ class Replica(Process):
         if name.startswith(SYNC_TIMER_PREFIX):
             self._retry_block_request(name[len(SYNC_TIMER_PREFIX):])
             return
+        if name == PACE_TIMER:
+            self.maybe_propose()
+            return
         if name != ROUND_TIMER:
             return
         self.observer.on_timeout(self.process_id, self.v_cur, self.r_cur, self.now)
@@ -301,7 +314,13 @@ class Replica(Process):
     # Steady state: Propose
     # ------------------------------------------------------------------
     def maybe_propose(self) -> None:
-        """Propose for the current round if we are its leader (once)."""
+        """Propose for the current round if we are its leader (once).
+
+        An idle leader holds its proposal back (:meth:`_holds_back`) until
+        its pool wakes it or its idle time runs out.  A leader that held
+        back re-arms its round timer as it proposes: the wait spent part
+        of its own timer's span, and the next leader may wait as well.
+        """
         if self.config.variant == ProtocolVariant.ALWAYS_FALLBACK:
             return
         if self.fallback_mode:
@@ -311,7 +330,13 @@ class Replica(Process):
         key = (self.v_cur, self.r_cur)
         if key in self._proposed:
             return
+        if self._holds_back(key):
+            return
         self._proposed.add(key)
+        if self._idle_key is not None:
+            self._idle_key = None
+            self.cancel_timer(PACE_TIMER)
+            self._arm_round_timer()
         if self._batch_controller is not None:
             self.mempool.batch_size = self._batch_controller.tune(
                 len(self.mempool), self.now
@@ -326,6 +351,59 @@ class Replica(Process):
         self.store.add(block)
         self.observer.on_proposal(self.process_id, block, self.now)
         self.network.multicast(self.process_id, Proposal(block))
+
+    def _holds_back(self, key: tuple[int, int]) -> bool:
+        """Whether the leader defers its proposal for ``key`` for now.
+
+        It defers while it has nothing to carry or to commit: its pool is
+        empty and no uncommitted block under ``qc_high`` holds a
+        transaction.  Only in a running chain (``qc_high`` is this view's
+        QC for the previous round, and this replica voted for its block),
+        so the first round after a view change proposes at once.
+
+        The wait ends half a round timeout after that vote.  An honest
+        replica entered the previous round no earlier than the proposal it
+        voted for was sent, so its timer span holds this one wait plus two
+        message delays; and proposals stay half a round timeout apart.
+        """
+        if len(self.mempool) or not self._chain_is_idle():
+            return False
+        if self._idle_key == key:
+            return self.timer_active(PACE_TIMER)
+        voted_for, voted_at = self._last_vote
+        delay = voted_at + self.config.round_timeout / 2 - self.now
+        if voted_for != self.qc_high.block_id or delay <= 0:
+            return False
+        self._idle_key = key
+        self.set_timer(PACE_TIMER, delay)
+        return True
+
+    def _chain_is_idle(self) -> bool:
+        """``qc_high`` is this view's QC for the previous round, and none of
+        the uncommitted blocks it certifies (at most the commit depth of
+        them) carries a transaction."""
+        qc = self.qc_high
+        if type(qc) is not QC or qc.view != self.v_cur or qc.round != self.r_cur - 1:
+            return False
+        block_id = qc.block_id
+        for _ in range(self.config.commit_depth):
+            if self.ledger.is_committed(block_id):
+                return True
+            block = self.store.get(block_id)
+            if block is None or block.batch or block.qc is None:
+                return False  # a missing block may carry anything
+            block_id = block.qc.block_id
+        return True
+
+    def _wake_on_arrival(self, transaction: Transaction, was_empty: bool) -> None:
+        """Mempool listener: a first transaction ends an idle wait.
+
+        The proposal runs as a zero-delay timer step rather than from here:
+        a submission can arrive outside any handler, and a timer step is one
+        a durable replica persists and flushes like any other.
+        """
+        if was_empty and self.timer_active(PACE_TIMER):
+            self.set_timer(PACE_TIMER, 0.0)
 
     # ------------------------------------------------------------------
     # Steady state: Vote
@@ -351,6 +429,7 @@ class Replica(Process):
             block, self.r_cur, self.v_cur, self.fallback_mode, parent_rank
         ):
             self.safety.record_regular_vote(block)
+            self._last_vote = (block.id, self.now)
             share = self.crypto.share(("vote", block.id, block.round, block.view))
             vote = Vote(block_id=block.id, round=block.round, view=block.view, share=share)
             self.network.send(

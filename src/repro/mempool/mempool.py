@@ -11,17 +11,25 @@ beyond the bound are rejected (``submit`` returns ``False`` and
 by unbounded memory growth — see :mod:`repro.traffic.admission`.  The
 default is unbounded, which preserves the historical behavior every
 recorded benchmark fingerprint was taken under.
+
+**Arrival listeners** are the pool's one outward seam: each callable
+added with :meth:`add_listener` is told about every newly accepted
+transaction, together with whether the pool was empty before it.  The
+owning replica listens to wake an idle leader on the empty -> non-empty
+transition; with adaptive batching on, a traffic envelope listens to
+every arrival.  Several replicas may share one pool (each adds its own
+listener), so the seam is a list, not a slot.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.types.transactions import EMPTY_BATCH, Batch, Transaction
 
-if TYPE_CHECKING:
-    from repro.traffic.envelope import TrafficEnvelope
+#: Told of each accepted transaction and whether the pool was empty before.
+ArrivalListener = Callable[[Transaction, bool], None]
 
 
 class Mempool:
@@ -40,22 +48,15 @@ class Mempool:
         self.submitted_count = 0
         #: Submissions refused because the pool was at capacity.
         self.rejected_count = 0
-        self._envelope: Optional["TrafficEnvelope"] = None
-        self._clock: Optional[Callable[[], float]] = None
+        self._listeners: list[ArrivalListener] = []
 
     def __len__(self) -> int:
         return len(self._pending)
 
-    def attach_envelope(
-        self, envelope: "TrafficEnvelope", clock: Callable[[], float]
-    ) -> None:
-        """Feed accepted submissions into an arrival envelope.
-
-        ``clock`` supplies observation timestamps (the owning replica's
-        scheduler clock, so sim and live modes share an origin).
-        """
-        self._envelope = envelope
-        self._clock = clock
+    def add_listener(self, listener: ArrivalListener) -> None:
+        """Call ``listener(transaction, was_empty)`` on every accepted
+        submission, after the transaction is in the pool."""
+        self._listeners.append(listener)
 
     def submit(self, transaction: Transaction) -> bool:
         """Add a client transaction (idempotent on tx_id).
@@ -71,10 +72,11 @@ class Mempool:
         if self.capacity is not None and len(pending) >= self.capacity:
             self.rejected_count += 1
             return False
+        was_empty = not pending
         pending[tx_id] = transaction
         self.submitted_count += 1
-        if self._envelope is not None:
-            self._envelope.observe(transaction.client, self._clock())
+        for listener in self._listeners:
+            listener(transaction, was_empty)
         return True
 
     def submit_all(self, transactions: Iterable[Transaction]) -> None:

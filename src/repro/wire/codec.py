@@ -2,7 +2,9 @@
 
 Every message in :mod:`repro.types.messages` (plus the client messages)
 encodes to a canonical byte string and decodes back to an equal object:
-``decode_message(encode_message(sender, m)) == (sender, m)``.  The format
+``decode_message(encode_message(sender, m)) == (sender, m)``.  Decoding
+accepts that form only (presence flags are 0 or 1, signers ascend), so
+bytes that decode re-encode to themselves.  The format
 is self-describing enough to be safely fed garbage — every frame starts
 with a version byte and a type tag drawn from a closed table, all
 variable-length fields are length-prefixed and bounds-checked, reserved
@@ -228,7 +230,10 @@ def _optional(codec: _Codec) -> _Codec:
             write_value(buf, value)
 
     def read(r: _Reader) -> Any:
-        return read_value(r) if _U8.read(r) else None
+        flag = _U8.read(r)
+        if flag > 1:
+            raise DecodeError(f"presence flag {flag} is neither 0 nor 1")
+        return read_value(r) if flag else None
 
     return _Codec(write, read)
 
@@ -352,9 +357,14 @@ _U16_SEQUENCE = _sequence(_U16)
 
 
 def _read_signers(r: _Reader) -> tuple[int, ...]:
+    # A signature stores its signers sorted, so only ascending order
+    # re-encodes to the same bytes (and duplicates are refused with it).
     signers: tuple[int, ...] = _U16_SEQUENCE.read(r)
-    if len(set(signers)) != len(signers):
-        raise DecodeError("duplicate signer in threshold signature")
+    for lower, higher in zip(signers, signers[1:]):
+        if lower == higher:
+            raise DecodeError("duplicate signer in threshold signature")
+        if lower > higher:
+            raise DecodeError("threshold signature signers out of order")
     return signers
 
 

@@ -69,3 +69,20 @@ def test_empty_pool_batch():
     pool.submit(make_transaction(0))
     pool.mark_committed(pool.next_batch())
     assert pool.next_batch() is EMPTY_BATCH
+
+
+def test_listeners_hear_each_accepted_arrival_and_the_empty_transition():
+    # A pool several replicas share wakes each of them.
+    pool = Mempool(batch_size=10, capacity=2)
+    first, second = [], []
+    pool.add_listener(lambda tx, was_empty: first.append((tx.tx_id, was_empty)))
+    pool.add_listener(lambda tx, was_empty: second.append((tx.tx_id, was_empty)))
+    a, b, c = (make_transaction(i) for i in range(3))
+    pool.submit(a)
+    pool.submit(a)  # already pending: no arrival
+    pool.submit(b)
+    pool.submit(c)  # over capacity: rejected, no arrival
+    pool.mark_committed([a, b])
+    pool.submit(c)
+    expected = [(a.tx_id, True), (b.tx_id, False), (c.tx_id, True)]
+    assert first == second == expected

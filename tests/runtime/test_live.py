@@ -19,6 +19,7 @@ from repro.runtime.live import (
     WallClockTimer,
 )
 from repro.types.messages import BlockRequest
+from repro.types.transactions import make_transaction
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +119,43 @@ def test_live_cluster_durable_replicas():
     assert report.min_honest_height >= 3
     # Durable replicas journal every vote they sign.
     assert all(r.journal.writes > 0 for r in cluster.replicas)
+
+
+def test_idle_live_cluster_paces_and_wakes_on_a_request():
+    """Left idle, the cluster commits a few empty blocks a second and never
+    times out; a request submitted afterwards wakes the idle leader and
+    commits everywhere within 100 ms."""
+    idle_seconds, round_timeout = 2.0, 0.5
+    cluster = LiveCluster(n=4, seed=5, round_timeout=round_timeout, preload=0)
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        await cluster._build()
+        replicas = cluster.replicas
+        for replica in replicas:
+            replica.on_start()
+        try:
+            await asyncio.sleep(idle_seconds)
+            heights = [replica.ledger.height for replica in replicas]
+            transaction = make_transaction(0, client=1)
+            submitted = loop.time()
+            for replica in replicas:
+                replica.mempool.submit(transaction)
+            while loop.time() < submitted + 5.0 and not all(
+                r.ledger.is_committed_transaction(transaction.tx_id) for r in replicas
+            ):
+                await asyncio.sleep(0.001)
+            return heights, loop.time() - submitted
+        finally:
+            await cluster._stop()
+
+    heights, commit_seconds = asyncio.run(go())
+    assert cluster.metrics.timeouts == []
+    assert cluster.metrics.fallback_count() == 0
+    per_second = 2 / round_timeout  # one block per half round timeout
+    assert all(1 <= h <= per_second * idle_seconds + 3 for h in heights), heights
+    assert commit_seconds < 0.1
+    assert cluster.ledger_prefixes_consistent()
 
 
 def test_conflicting_config_sizes_rejected():

@@ -25,7 +25,8 @@ def test_flag_off_wires_nothing():
     cluster = ClusterBuilder(n=4, seed=1).build()
     for replica in cluster.replicas:
         assert replica._batch_controller is None
-        assert replica.mempool._envelope is None
+        # The pool's only arrival listener is the replica's own idle wake.
+        assert replica.mempool._listeners == [replica._wake_on_arrival]
 
 
 def test_flag_off_never_constructs_traffic_objects(monkeypatch):

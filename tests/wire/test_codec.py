@@ -193,14 +193,13 @@ def test_signers_in_any_order_canonicalise():
     assert len(encodings) == 1
     assert all(m == messages[0] and hash(m) == hash(messages[0]) for m in messages)
 
-    # Unsorted signers on the wire decode to the same object and re-encode
-    # to the canonical bytes.
+    # Only the sorted form is accepted on the wire: unsorted signers would
+    # decode to the same object but re-encode to other bytes.
     [data] = encodings
     assert data.count(_SIGNERS_012) == 1
     shuffled = data.replace(_SIGNERS_012, b"\x00\x03\x00\x02\x00\x00\x00\x01")
-    _, decoded = decode_message(shuffled)
-    assert decoded == messages[0]
-    assert encode_message(0, decoded) == data
+    with pytest.raises(DecodeError, match="out of order"):
+        decode_message(shuffled)
 
 
 def test_duplicate_signers_on_the_wire_rejected():

@@ -8,6 +8,8 @@ The two invariants the transport depends on:
 2. Decoding arbitrary or corrupted bytes either succeeds or raises
    :class:`DecodeError` — never any other exception — so a Byzantine peer
    cannot crash the transport with crafted payloads.
+3. The encoding is canonical: bytes that decode re-encode to exactly
+   themselves, so no message has two accepted wire forms.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -228,3 +230,32 @@ def test_single_byte_corruption_never_crashes(message, offset, flip):
         decode_message(bytes(data))
     except DecodeError:
         pass  # corrupted frames are rejected, not crashed on
+
+
+# ----------------------------------------------------------------------
+# Canonical form: accepted bytes re-encode to themselves
+# ----------------------------------------------------------------------
+def _assert_canonical(data: bytes) -> None:
+    try:
+        sender, message = decode_message(data)
+    except DecodeError:
+        return
+    assert encode_message(sender, message) == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_accepted_garbage_is_canonical(data):
+    _assert_canonical(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    message=messages,
+    offset=st.integers(min_value=0, max_value=10_000),
+    flip=st.integers(min_value=1, max_value=255),
+)
+def test_accepted_corruption_is_canonical(message, offset, flip):
+    data = bytearray(encode_message(3, message))
+    data[offset % len(data)] ^= flip
+    _assert_canonical(bytes(data))

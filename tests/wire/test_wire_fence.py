@@ -14,9 +14,14 @@ import hashlib
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.crypto.hashing import DIGEST_WIRE_SIZE
+from repro.crypto.signatures import SIGNATURE_WIRE_SIZE
 from repro.net.network import Network
 from repro.net.reliable import ReliableNetwork
-from repro.wire.codec import decode_message, encode_message
+from repro.types.messages import MESSAGE_OVERHEAD, FallbackProposal, Proposal
+from repro.wire.codec import DecodeError, decode_message, encode_message
 
 _BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 if str(_BENCHMARKS) not in sys.path:
@@ -68,3 +73,38 @@ def test_encoded_bytes_match_the_pinned_digest(monkeypatch, samples):
         digest.update(encode_message(7, message))
     assert len(sent) > 10_000
     assert digest.hexdigest() == FENCE_DIGEST
+
+
+def _presence_flag_offsets(samples) -> list[tuple[bytes, int]]:
+    """Each optional field's presence flag in a sample that sets it.
+
+    A block proposal's ``qc`` flag follows the envelope, the author
+    signature slot, the block tag, the block id and the block's four
+    fixed-width header fields; a fallback proposal's ``ftc`` flag is where
+    the same proposal without its f-TC ends with a 0.
+    """
+    proposal, fallback = (
+        next(m for m in samples["messages"] if test(m))
+        for test in (
+            lambda m: isinstance(m, Proposal) and m.block.qc is not None,
+            lambda m: isinstance(m, FallbackProposal) and m.ftc is not None,
+        )
+    )
+    qc_flag = MESSAGE_OVERHEAD + SIGNATURE_WIRE_SIZE + 1 + DIGEST_WIRE_SIZE + 4 * 8
+    without_ftc = encode_message(7, FallbackProposal(fblock=fallback.fblock))
+    return [
+        (encode_message(7, proposal), qc_flag),
+        (encode_message(7, fallback), len(without_ftc) - 1),
+    ]
+
+
+def test_presence_flags_other_than_0_or_1_are_rejected(samples):
+    """One message, one encoding: a flag of 2..255 would decode to the same
+    message as a flag of 1 and so give it 255 more wire forms."""
+    for data, offset in _presence_flag_offsets(samples):
+        assert data[offset] == 1
+        decode_message(data)
+        for flag in range(2, 256):
+            forged = data[:offset] + bytes([flag]) + data[offset + 1:]
+            with pytest.raises(DecodeError, match="presence flag"):
+                decode_message(forged)
