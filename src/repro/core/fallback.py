@@ -210,7 +210,7 @@ class FallbackEngine:
             view=view,
             height=1,
             proposer=replica.process_id,
-            batch=replica.next_valid_batch(),
+            batch=replica.next_valid_batch(replica.qc_high),
         )
         replica.store.add(block)
         state = self._view_state(view)
@@ -350,7 +350,7 @@ class FallbackEngine:
             view=view,
             height=height,
             proposer=replica.process_id,
-            batch=replica.next_valid_batch(),
+            batch=replica.next_valid_batch(parent_fqc),
         )
         replica.store.add(block)
         state.own_blocks[height] = block

@@ -54,7 +54,7 @@ from repro.types.certificates import (
     genesis_qc,
     max_cert,
 )
-from repro.types.transactions import Batch, Transaction
+from repro.types.transactions import EMPTY_BATCH, Batch, Transaction
 from repro.crypto.signatures import SignatureError
 from repro.crypto.threshold import ThresholdSignatureShare
 from repro.client.client import ClientReply, ClientRequest
@@ -345,7 +345,7 @@ class Replica(Process):
             qc=self.qc_high,
             round=self.r_cur,
             view=self.v_cur,
-            batch=self.next_valid_batch(),
+            batch=self.next_valid_batch(self.qc_high),
             author=self.process_id,
         )
         self.store.add(block)
@@ -380,20 +380,30 @@ class Replica(Process):
 
     def _chain_is_idle(self) -> bool:
         """``qc_high`` is this view's QC for the previous round, and none of
-        the uncommitted blocks it certifies (at most the commit depth of
-        them) carries a transaction."""
+        the uncommitted blocks it certifies carries a transaction."""
         qc = self.qc_high
         if type(qc) is not QC or qc.view != self.v_cur or qc.round != self.r_cur - 1:
             return False
-        block_id = qc.block_id
-        for _ in range(self.config.commit_depth):
-            if self.ledger.is_committed(block_id):
-                return True
+        in_flight = self._in_flight(qc)
+        return in_flight is not None and not in_flight
+
+    def _in_flight(self, parent: AnyCert) -> Optional[set[str]]:
+        """Ids of the transactions carried by the uncommitted blocks from
+        ``parent``'s block down to the committed prefix.
+
+        A block extending ``parent`` commits exactly when these do, so it
+        need not carry them again.  ``None`` when a missing block breaks
+        the walk: it may carry anything.
+        """
+        carried: set[str] = set()
+        block_id = parent.block_id
+        while not self.ledger.is_committed(block_id):
             block = self.store.get(block_id)
-            if block is None or block.batch or block.qc is None:
-                return False  # a missing block may carry anything
+            if block is None or block.qc is None:
+                return None
+            carried.update(transaction.tx_id for transaction in block.batch)
             block_id = block.qc.block_id
-        return True
+        return carried
 
     def _wake_on_arrival(self, transaction: Transaction, was_empty: bool) -> None:
         """Mempool listener: a first transaction ends an idle wait.
@@ -496,7 +506,13 @@ class Replica(Process):
                 effective_rank(normalized, self.coin_qcs),
                 parent_rank_of(block, self.coin_qcs),
             )
-        # Advance Round (may trigger our proposal for the new round).
+        # Advance Round (may trigger our proposal for the new round).  It
+        # precedes Commit on purpose: the leader that forms the committing
+        # QC proposes while its pool still holds the transactions about to
+        # commit, so it does not hold back as idle, and its proposal carries
+        # that QC to the other replicas at once.  Committing first would let
+        # it wait up to half a round timeout, and the others would learn of
+        # the commit only from that late proposal.
         self.advance_round(normalized.round + 1)
         # Commit.
         self.try_commit(normalized)
@@ -727,14 +743,22 @@ class Replica(Process):
             return True
         return all(predicate(tx) for tx in batch)
 
-    def next_valid_batch(self) -> Batch:
-        """Next mempool batch with externally invalid transactions dropped
-        (both from the batch and, permanently, from the pool)."""
+    def next_valid_batch(self, parent: AnyCert) -> Batch:
+        """Next mempool batch for a block extending ``parent``.
+
+        It skips the transactions ``parent``'s uncommitted chain already
+        carries (:meth:`_in_flight`), and drops externally invalid ones
+        (from the batch and, permanently, from the pool).  An empty pool
+        needs no walk.
+        """
+        if not len(self.mempool):
+            return EMPTY_BATCH
+        skip = self._in_flight(parent) or ()
         predicate = self.config.validity_predicate
         if predicate is None:
-            return self.mempool.next_batch()
+            return self.mempool.next_batch(skip)
         while True:
-            batch = self.mempool.next_batch()
+            batch = self.mempool.next_batch(skip)
             invalid = [tx for tx in batch if not predicate(tx)]
             if not invalid:
                 return batch

@@ -34,7 +34,7 @@ class _EquivocatingFallbackEngine(FallbackEngine):
             height=1,
             proposer=replica.process_id,
         )
-        block_a = FallbackBlock(batch=replica.next_valid_batch(), **base)
+        block_a = FallbackBlock(batch=replica.next_valid_batch(replica.qc_high), **base)
         block_b = FallbackBlock(
             batch=Batch.of([make_transaction(view, client=66, payload="fork")]),
             **base,

@@ -2,8 +2,9 @@
 
 In this simulation clients submit to every replica (as in most BFT SMR
 deployments, transactions are disseminated out-of-band or broadcast), so
-each replica's mempool holds the same logical stream; a replica drains a
-batch when it proposes and drops transactions it later sees committed.
+each replica's mempool holds the same logical stream.  A proposer peeks
+a batch, skipping the transactions the chain it extends already carries,
+and a replica drops transactions once it sees them committed.
 
 The pool is optionally **bounded**: with a ``capacity`` set, submissions
 beyond the bound are rejected (``submit`` returns ``False`` and
@@ -24,7 +25,7 @@ listener), so the seam is a list, not a slot.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from repro.types.transactions import EMPTY_BATCH, Batch, Transaction
 
@@ -83,14 +84,21 @@ class Mempool:
         for transaction in transactions:
             self.submit(transaction)
 
-    def next_batch(self) -> Batch:
-        """Peek the next batch to propose (does not remove — transactions
-        leave the pool only when committed, so a failed proposal's payload
-        is re-proposed later).  An idle pool shares ``EMPTY_BATCH``."""
-        if not self._pending:
-            return EMPTY_BATCH
-        take = list(islice(self._pending.values(), self.batch_size))
-        return Batch.of(take)
+    def next_batch(self, skip: Collection[str] = ()) -> Batch:
+        """Peek the next batch to propose: the oldest pending transactions
+        whose ids are not in ``skip`` (the proposer passes those already
+        in flight in the chain its block extends).
+
+        It does not remove: a transaction leaves the pool only when it
+        commits, so one whose block is abandoned (never certified, or on a
+        branch the next leader does not extend) is proposed again.  A batch
+        with nothing to carry shares ``EMPTY_BATCH``.
+        """
+        pending: Iterable[Transaction] = self._pending.values()
+        if skip:
+            pending = (tx for tx in pending if tx.tx_id not in skip)
+        take = list(islice(pending, self.batch_size))
+        return Batch.of(take) if take else EMPTY_BATCH
 
     def mark_committed(self, transactions: Iterable[Transaction]) -> int:
         """Drop committed transactions; returns how many were present."""

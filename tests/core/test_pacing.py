@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.core.config import ProtocolVariant
+from repro.core.config import ProtocolConfig, ProtocolVariant
 from repro.core.replica import PACE_TIMER
 from repro.net.conditions import SynchronousDelay
 from repro.runtime.cluster import ClusterBuilder
@@ -27,9 +27,9 @@ CASES = [(n, variant) for n in (4, 7) for variant in VARIANTS]
 IDS = [f"n{n}-{variant.value}" for n, variant in CASES]
 
 
-def idle_cluster(n, variant, seed=1):
+def idle_cluster(n, variant, seed=1, round_timeout=5.0):
     return (
-        ClusterBuilder(n=n, seed=seed)
+        ClusterBuilder(seed=seed, config=ProtocolConfig(n, round_timeout=round_timeout))
         .with_variant(variant)
         .with_delay_model(SynchronousDelay(delta=1.0))
         .with_preload(0)
@@ -77,3 +77,28 @@ def test_offered_transaction_is_proposed_at_once(n, variant):
     assert cluster.metrics.timeouts == []
     for replica in replicas:
         assert replica.ledger.is_committed_transaction(transaction.tx_id)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=[v.value for v in VARIANTS])
+def test_every_replica_commits_within_two_delays_of_the_first(variant):
+    """Advance Round precedes Commit in ``process_certificate``.
+
+    The leader that forms the committing QC proposes while its pool still
+    holds the transaction, so that QC reaches the other replicas in its
+    proposal at once.  Were it to commit first, its pool and chain would
+    look idle, it would wait, and the others would commit only after it.
+    With a 20 s round timeout that wait lasts at least 10 s less two
+    message delays, far outside the bound.
+    """
+    cluster = idle_cluster(4, variant, round_timeout=20.0)
+    cluster.run(until=50.0)
+    offered_at = cluster.scheduler.now
+    transaction = make_transaction(0, client=1, submitted_at=offered_at)
+    cluster.submit(transaction)
+    cluster.run(until=offered_at + 2 * cluster.setup.config.round_timeout)
+    committed_at = []
+    for replica in cluster.honest_replicas():
+        position, _ = replica.ledger.commit_location(transaction.tx_id)
+        committed_at.append(replica.ledger.record_at(position).committed_at)
+    delta = cluster.network.delay_model.delta
+    assert max(committed_at) - min(committed_at) <= 2 * delta

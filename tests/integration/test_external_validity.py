@@ -119,6 +119,6 @@ def test_next_valid_batch_drops_garbage():
         replica.mempool.submit(
             make_transaction(index, payload="invalid x" if index < 4 else f"ok {index}")
         )
-    batch = replica.next_valid_batch()
+    batch = replica.next_valid_batch(replica.qc_high)
     assert [tx.payload for tx in batch] == ["ok 4", "ok 5"]
     assert len(replica.mempool) == 2  # the garbage is gone for good

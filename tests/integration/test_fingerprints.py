@@ -27,7 +27,7 @@ from bench_simcore import run_scenario  # noqa: E402
 FINGERPRINTS = {
     "fallback-n4": "46da7df7f425ea94a5b2b686ab2552c6",
     "lossy20-n4": "5db6410f6c6c34fcd8cb5cce1aa211f4",
-    "steady-n4": "5d1d566f1ecc15a64034a89b2ad106f6",
+    "steady-n4": "fa438d284730ea09a10940de06533656",
     "steady-n16": "bed9ae10fa01b118ebe94dfacee9f0a7",
     "fallback-n64": "75beebb7803800c8f070471bf359e2a8",
     "steady-n64": "49f2b75685a1921022b4c2b33f6e0739",

@@ -38,6 +38,16 @@ def test_next_batch_does_not_remove():
     assert len(pool) == 3  # only commits remove transactions
 
 
+def test_next_batch_skips_in_flight_ids_in_order():
+    pool = Mempool(batch_size=2)
+    pool.submit_all(make_transaction(i) for i in range(5))
+    batch = pool.next_batch(skip={"tx-0-0", "tx-0-2"})
+    assert [tx.tx_id for tx in batch] == ["tx-0-1", "tx-0-3"]
+    assert len(pool) == 5  # skipping is not removing
+    everything = {tx.tx_id for tx in pool.pending()}
+    assert pool.next_batch(skip=everything) is EMPTY_BATCH
+
+
 def test_mark_committed_removes():
     pool = Mempool(batch_size=10)
     txs = [make_transaction(i) for i in range(4)]

@@ -52,7 +52,15 @@ def test_flag_off_batch_size_never_drifts():
     assert all(m.batch_size == cluster.config.batch_size for m in cluster.mempools)
 
 
-def test_flag_on_tunes_batch_size_under_backlog():
+def test_flag_on_tunes_batch_size_under_backlog(monkeypatch):
+    tuned = []
+    tune = AdaptiveBatchController.tune
+
+    def recording_tune(self, mempool_depth, now):
+        tuned.append(tune(self, mempool_depth, now))
+        return tuned[-1]
+
+    monkeypatch.setattr(AdaptiveBatchController, "tune", recording_tune)
     config = ProtocolConfig(n=4, adaptive_batching=True, adaptive_max_batch=160)
     cluster = (
         ClusterBuilder(n=4, seed=1, config=config).with_preload(5000).build()
@@ -61,5 +69,6 @@ def test_flag_on_tunes_batch_size_under_backlog():
     for replica in cluster.replicas:
         assert replica._batch_controller is not None
     # A 5000-deep backlog must push proposers past the fixed default of 10.
-    assert max(m.batch_size for m in cluster.mempools) > config.batch_size
+    # The peak is what counts: the backlog drains, and the size falls back.
+    assert max(tuned) > config.batch_size
     assert cluster.metrics.decisions() > 0
