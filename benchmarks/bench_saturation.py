@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -31,6 +30,8 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+from run_benchmarks import git_commit  # noqa: E402
 
 from repro.traffic.saturation import (  # noqa: E402
     compare_batching,
@@ -43,17 +44,6 @@ RESULTS_PATH = _REPO_ROOT / "BENCH_traffic.json"
 #: Live probe ladder: wall-clock rates tried lowest-first; the knee is the
 #: highest sustainable one.  Kept coarse — every probe costs real seconds.
 LIVE_RATES = (50.0, 200.0, 800.0)
-
-
-def git_commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_REPO_ROOT, capture_output=True, text=True, timeout=10,
-        )
-        return out.stdout.strip() or "unknown"
-    except OSError:
-        return "unknown"
 
 
 def run_live_ladder(

@@ -48,16 +48,21 @@ LIVE_RESULTS_PATH = _REPO_ROOT / "BENCH_live.json"
 SWEEP_SEEDS = list(range(1, 9))
 
 
-def git_commit() -> str:
+def git_commit(root: Path = _REPO_ROOT) -> str:
+    """Short HEAD sha of ``root``, suffixed ``-dirty`` when a tracked file
+    differs from HEAD (the record then does not describe that commit)."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, timeout=10
+        ).stdout.strip()
+
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or "unknown"
+        head = git("rev-parse", "--short", "HEAD")
+        if not head:
+            return "unknown"
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+        return f"{head}-dirty" if dirty else head
     except OSError:
         return "unknown"
 

@@ -11,7 +11,7 @@ and the cluster commits through the fallback before resuming steady state.
 Run:  python examples/live_cluster.py
 """
 
-from repro.analysis.complexity import live_decision_costs
+from repro.analysis.complexity import per_decision_costs
 from repro.runtime.live import LiveCluster
 
 
@@ -33,9 +33,9 @@ def main() -> None:
     print(f"real encoded bytes            : {report.encoded_bytes:,}")
     print(f"transport counters            : {report.transport}")
 
-    costs = live_decision_costs(cluster.metrics)
+    costs = per_decision_costs(cluster.metrics)
     print(f"messages per decision         : {costs.messages_per_decision:.1f}")
-    print(f"bytes per decision            : {costs.bytes_per_decision:,.0f} (real, not modeled)")
+    print(f"bytes per decision            : {costs.bytes_per_decision:,.0f} (framed codec bytes)")
 
     assert report.ok, "run timed out or ledgers diverged"
     print("safety check                  : OK (all logs prefix-consistent)")

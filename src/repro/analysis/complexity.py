@@ -42,23 +42,6 @@ def per_decision_costs(metrics: MetricsCollector) -> DecisionCosts:
     )
 
 
-def live_decision_costs(metrics: MetricsCollector) -> DecisionCosts:
-    """Per-decision costs from a live run, validated against real bytes.
-
-    Live-mode metrics bill every honest send at its true codec-encoded
-    frame size (``MetricsCollector.on_wire_send``), so ``honest_bytes``
-    must equal ``encoded_bytes`` exactly — a divergence means some path
-    still billed modeled estimates, which would silently mix the two
-    accounting regimes in one figure.
-    """
-    if metrics.encoded_bytes != metrics.honest_bytes:
-        raise ValueError(
-            f"live metrics mix real and modeled bytes: encoded="
-            f"{metrics.encoded_bytes} vs honest={metrics.honest_bytes}"
-        )
-    return per_decision_costs(metrics)
-
-
 def fit_loglog_slope(ns: Sequence[int], costs: Sequence[float]) -> float:
     """Least-squares slope of log(cost) vs log(n).
 

@@ -159,7 +159,7 @@ def cmd_live(args) -> int:
       supervisor, with optional SIGKILL chaos (``--kills``) and a client
       swarm (``--swarm``).
     """
-    from repro.analysis.complexity import live_decision_costs
+    from repro.analysis.complexity import per_decision_costs
     from repro.runtime.live import LiveCluster
 
     if args.replica is not None:
@@ -181,7 +181,7 @@ def cmd_live(args) -> int:
         force_fallback=args.force_fallback,
     )
     assert cluster.metrics is not None
-    costs = live_decision_costs(cluster.metrics)
+    costs = per_decision_costs(cluster.metrics)
     payload = {
         "mode": "live",
         "protocol": args.protocol,
@@ -332,15 +332,8 @@ def cmd_lint(args) -> int:
     src_root = (
         Path(args.src) if args.src else Path(repro.__file__).resolve().parent.parent
     )
-    if args.no_tests:
-        tests_root = None
-    elif args.tests:
-        tests_root = Path(args.tests)
-    else:
-        candidate = src_root.parent / "tests"
-        tests_root = candidate if candidate.is_dir() else None
     try:
-        modules = collect_modules(src_root, tests_root)
+        modules = collect_modules(src_root)
         # Dumps replace linting; any combination is written from one project.
         dumps = [
             dump
@@ -560,11 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--src", default=None,
                       help="source root containing the repro package "
                            "(default: auto-detected)")
-    lint.add_argument("--tests", default=None,
-                      help="tests root scanned for wire round-trip coverage "
-                           "(default: <repo>/tests when present)")
-    lint.add_argument("--no-tests", action="store_true",
-                      help="skip the tests root entirely")
     lint.add_argument("--fail-on", choices=["error", "warning"], default="error",
                       help="exit non-zero on errors only (default) or on "
                            "any finding including warnings")

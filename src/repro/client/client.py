@@ -21,13 +21,15 @@ issued per confirmation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
-from repro.types.messages import MESSAGE_OVERHEAD, Message
+from repro.types.messages import Message
 from repro.types.transactions import Transaction
+
+if TYPE_CHECKING:
+    from repro.net.network import Network
 
 RETRANSMIT_TIMER = "client-retransmit"
 
@@ -38,9 +40,6 @@ class ClientRequest(Message):
 
     transaction: Transaction
 
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + self.transaction.wire_size()
-
 
 @dataclass(frozen=True)
 class ClientReply(Message):
@@ -50,9 +49,6 @@ class ClientReply(Message):
     position: int
     block_id: str
     replica: int
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + 48
 
 
 @dataclass

@@ -3,9 +3,10 @@
 The paper assumes ideal signatures, threshold signatures and a common coin
 set up by a trusted dealer.  This package provides exactly that ideal model:
 objects that are unforgeable *by construction* (the only way to obtain a
-valid share or certificate is through the legitimate API), with wire sizes
-modeled on real schemes (Ed25519 / BLS12-381) so that byte-level
-communication accounting is meaningful.
+valid share or certificate is through the legitimate API).  The wire codec
+(:mod:`repro.wire.codec`) ships each object in a slot sized like its real
+counterpart (Ed25519 / BLS12-381), so byte-level communication accounting
+is meaningful.
 """
 
 from repro.crypto.coin import CoinShare, CommonCoin

@@ -20,10 +20,6 @@ from repro.crypto.hashing import Digest, hash_fields
 from repro.crypto.keys import KeyPair, Registry
 from repro.crypto.signatures import SignatureError
 
-#: Modeled wire sizes, in bytes.
-COIN_SHARE_WIRE_SIZE = 48
-COIN_PROOF_WIRE_SIZE = 96
-
 _COIN_SHARE_DOMAIN = "repro/coinshare/v1"
 _COIN_VALUE_DOMAIN = "repro/coinvalue/v1"
 
@@ -36,9 +32,6 @@ class CoinShare:
     view: int
     epoch: int
     tag: Digest
-
-    def wire_size(self) -> int:
-        return COIN_SHARE_WIRE_SIZE
 
 
 class CommonCoin:

@@ -25,10 +25,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable
 
-#: Modeled wire size of a digest, in bytes (we model a 32-byte digest on the
-#: wire even though the in-memory hex id is truncated for readability).
-DIGEST_WIRE_SIZE = 32
-
 Digest = str
 
 _blake2b = hashlib.blake2b

@@ -7,8 +7,6 @@ only the signing path computes, and verification recomputes it.  Since the
 key material never crosses the simulated wire, a Byzantine process cannot
 fabricate a signature for another replica — matching the paper's ideal-
 signature assumption.
-
-Wire size is modeled on Ed25519 (64 bytes).
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest, hash_fields
 from repro.crypto.keys import KeyPair, Registry
-
-#: Modeled wire size of one signature, in bytes.
-SIGNATURE_WIRE_SIZE = 64
 
 _SIGNING_DOMAIN = "repro/sig/v1"
 
@@ -43,9 +38,6 @@ class Signature:
     signer: int
     epoch: int
     tag: Digest
-
-    def wire_size(self) -> int:
-        return SIGNATURE_WIRE_SIZE
 
 
 class Signer:

@@ -10,8 +10,8 @@ shares are only minted through :meth:`ThresholdScheme.sign_share` with the
 owner's key, and combining checks share validity, distinctness and count.
 The combined signature records the contributing signers — real BLS threshold
 signatures do not, but the safety *analysis* (quorum-intersection checks in
-``repro.analysis``) wants the voter sets, and the modeled wire size stays
-constant (96 bytes, BLS12-381-like) regardless.
+``repro.analysis``) wants the voter sets, so the wire codec ships them
+inside the combined signature's 96-byte (BLS12-381-like) slot.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from typing import Callable, Iterable, Optional
 from repro.crypto.hashing import Digest, hash_fields
 from repro.crypto.keys import KeyPair, Registry
 from repro.crypto.signatures import SignatureError
-
-#: Modeled wire sizes, in bytes.
-SHARE_WIRE_SIZE = 48
-THRESHOLD_SIG_WIRE_SIZE = 96
 
 _SHARE_DOMAIN = "repro/tshare/v1"
 _COMBINED_DOMAIN = "repro/tsig/v1"
@@ -47,9 +43,6 @@ class ThresholdSignatureShare:
     epoch: int
     tag: Digest
 
-    def wire_size(self) -> int:
-        return SHARE_WIRE_SIZE
-
 
 @dataclass(frozen=True, slots=True)
 class ThresholdSignature:
@@ -62,15 +55,11 @@ class ThresholdSignature:
 
     epoch: int
     tag: Digest
-    #: Contributing replicas, sorted and distinct; analysis-only (not
-    #: counted in wire size).
+    #: Contributing replicas, sorted and distinct.
     signers: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signers", tuple(sorted(set(self.signers))))
-
-    def wire_size(self) -> int:
-        return THRESHOLD_SIG_WIRE_SIZE
 
 
 class ThresholdScheme:

@@ -80,10 +80,8 @@ class LazyVoter(Replica):
 
 
 class _Garbage:
-    """An unknown message type with a wire size (ignored by replicas)."""
-
-    def wire_size(self) -> int:
-        return 1000
+    """A type the codec does not know: replicas ignore it, and the network
+    bills it the untyped default size."""
 
 
 class Flooder(Replica):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.conditions import DelayModel, SynchronousDelay
+from repro.net.network import billed_size
 
 
 class BandwidthDelay(DelayModel):
@@ -42,8 +43,7 @@ class BandwidthDelay(DelayModel):
         return (sender, receiver) if self.per_link else sender
 
     def delay(self, sender, receiver, message, now, rng) -> float:
-        size = getattr(message, "wire_size", lambda: 64)()
-        serialization = size / self.bytes_per_second
+        serialization = billed_size(message) / self.bytes_per_second
         key = self._link_key(sender, receiver)
         start = max(now, self._free_at.get(key, 0.0))
         self._free_at[key] = start + serialization

@@ -28,9 +28,11 @@ from repro.net.conditions import DelayModel, SynchronousDelay
 from repro.net.loss import LossModel, NoLoss
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
+from repro.wire.codec import EncodeError, encoded_size
+from repro.wire.framing import FRAME_HEADER_SIZE
 
-#: Hook signature: (sender, receiver, message, send_time, delay).
-SendHook = Callable[[int, int, object, float, float], None]
+#: Hook signature: (sender, receiver, message, send_time, billed bytes).
+SendHook = Callable[[int, int, object, float, int], None]
 
 
 class Network:
@@ -62,8 +64,13 @@ class Network:
         self.messages_dropped = 0
         #: Extra copies the loss model injected beyond the first.
         self.duplicates_injected = 0
-        #: Messages billed UNTYPED_WIRE_SIZE because they lack wire_size().
+        #: Messages billed UNTYPED_WIRE_SIZE because the codec has no entry
+        #: (a multicast counts once).
         self.untyped_messages = 0
+        #: The last message billed and its size: a multicast sends one
+        #: object to every receiver, so it is sized once.
+        self._billed: object = None
+        self._billed_size = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -89,7 +96,8 @@ class Network:
         return self._processes[process_id]
 
     def add_send_hook(self, hook: SendHook) -> None:
-        """Register a metrics/trace hook invoked on every network send."""
+        """Register a metrics/trace hook invoked on every network send with
+        the bytes the send was billed."""
         self._hooks.append(hook)
 
     def set_delay_model(self, model: DelayModel) -> None:
@@ -130,11 +138,13 @@ class Network:
         delay = self.delay_model.delay(sender, receiver, message, now, self._rng)
         self._check_delay(delay)
         self.messages_sent += 1
-        size = _wire_size(message, self)
+        if message is not self._billed:
+            self._billed, self._billed_size = message, billed_size(message, self)
+        size = self._billed_size
         self.bytes_sent += size
         if notify:
             for hook in self._hooks:
-                hook(sender, receiver, message, now, delay)
+                hook(sender, receiver, message, now, size)
         copies = self.loss_model.copies(sender, receiver, message, now, self._loss_rng)
         if copies <= 0:
             self.messages_dropped += 1
@@ -184,17 +194,25 @@ class Network:
             send(sender, receiver, message)
 
 
-#: Bytes billed for a message without a modeled ``wire_size()``.
+#: Bytes billed for an object the codec has no entry for.
 UNTYPED_WIRE_SIZE = 64
 
 
-def _wire_size(message: object, network: Optional[Network] = None) -> int:
-    """Modeled wire size of ``message``, else :data:`UNTYPED_WIRE_SIZE`,
-    counted in ``network.untyped_messages`` when a network is given."""
+def billed_size(message: object, network: Optional[Network] = None) -> int:
+    """Bytes one send of ``message`` puts on the wire.
+
+    A protocol message costs what live mode ships for it: the stream frame
+    header plus its codec encoding.  A reliable channel's frame sizes
+    itself; anything else costs :data:`UNTYPED_WIRE_SIZE`, counted in
+    ``network.untyped_messages`` when a network is given.
+    """
     try:
-        wire_size = message.wire_size  # type: ignore[attr-defined]
-    except AttributeError:
-        if network is not None:
-            network.untyped_messages += 1
-        return UNTYPED_WIRE_SIZE
-    return int(wire_size())
+        return FRAME_HEADER_SIZE + encoded_size(message)
+    except EncodeError:
+        pass
+    channel_frame = getattr(message, "wire_size", None)
+    if channel_frame is not None:
+        return channel_frame()
+    if network is not None:
+        network.untyped_messages += 1
+    return UNTYPED_WIRE_SIZE

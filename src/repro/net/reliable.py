@@ -40,10 +40,10 @@ from typing import Callable, Optional
 
 from repro.net.conditions import DelayModel
 from repro.net.loss import LossModel
-from repro.net.network import Network, _wire_size
+from repro.net.network import Network, billed_size
 from repro.sim.scheduler import Scheduler, Timer
 
-#: Modeled DataPacket header: a 8-byte sequence number.
+#: DataPacket header: an 8-byte sequence number ahead of the framed payload.
 DATA_HEADER_SIZE = 8
 #: Modeled AckPacket base size: envelope (24) + 8-byte cumulative seq.
 ACK_BASE_SIZE = 32
@@ -63,7 +63,7 @@ class DataPacket:
     payload: object
 
     def wire_size(self) -> int:
-        return DATA_HEADER_SIZE + _wire_size(self.payload)
+        return DATA_HEADER_SIZE + billed_size(self.payload)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ TCP with wall-clock timers:
 - :class:`LiveNetwork` implements the transport surface replicas use
   (``send`` / ``multicast``) by codec-encoding each message and handing
   the bytes to per-replica :class:`~repro.net.tcp.TcpTransport` endpoints.
-  Byte accounting uses *real encoded sizes* (frame header + payload), not
-  the modeled ``wire_size()`` estimates.
+  Byte accounting bills each send at its frame header plus encoded payload,
+  the same size the simulator bills from the codec table.
 - :class:`LiveCluster` assembles n replicas in one process on one asyncio
   event loop.  Handler atomicity is preserved — the loop is single-threaded
   and every delivery/timer callback is synchronous — so replica logic needs
@@ -128,7 +128,7 @@ class LiveNetwork:
     Mirrors the simulated network's contract: authenticated sender ids,
     deterministic multicast order, immediate (but not reentrant)
     self-delivery.  Every remote send is codec-encoded once and billed at
-    its true framed size via :meth:`MetricsCollector.on_wire_send`.
+    its framed size via :meth:`MetricsCollector.on_send`.
     """
 
     def __init__(
@@ -195,7 +195,7 @@ class LiveNetwork:
             return
         size = FRAME_HEADER_SIZE + len(payload)
         if self.metrics is not None:
-            self.metrics.on_wire_send(
+            self.metrics.on_send(
                 sender, receiver, message, self.scheduler.now, size
             )
         if self._transports[sender].send(receiver, payload):

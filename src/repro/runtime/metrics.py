@@ -82,9 +82,6 @@ class MetricsCollector(ReplicaObserver):
         self.message_bytes: Counter = Counter()
         self.honest_messages = 0
         self.honest_bytes = 0
-        #: Real codec-encoded bytes (live mode only; 0 under the simulator,
-        #: where byte figures come from modeled wire_size()).
-        self.encoded_bytes = 0
         self.commits: list[CommitEvent] = []
         self.fallback_events: list[FallbackEvent] = []
         self.timeouts: list[tuple[int, int, int, float]] = []
@@ -143,19 +140,26 @@ class MetricsCollector(ReplicaObserver):
         offered/admitted/rejected counters through this collector."""
         self._admission = admission
 
+    @property
+    def encoded_bytes(self) -> int:
+        """Honest bytes that went through the codec: all of them in live
+        mode, where a transport ships every send; 0 under the simulator,
+        which bills the same sizes without encoding anything."""
+        return self.honest_bytes if self._transports else 0
+
     # ------------------------------------------------------------------
     # Network hooks
     # ------------------------------------------------------------------
-    def on_send(self, sender: int, receiver: int, message: object, time: float, delay: float) -> None:
+    def on_send(
+        self, sender: int, receiver: int, message: object, time: float, size: int
+    ) -> None:
+        """Bill one honest send at the ``size`` the network charged for it.
+
+        Classification uses the protocol payload inside a DataPacket, so
+        phase accounting stays comparable with the reliable-link model.
+        """
         if sender not in self.honest_ids:
             return
-        # Bytes are billed at the full frame (channel header included);
-        # classification uses the protocol payload inside a DataPacket so
-        # phase accounting stays comparable with the reliable-link model.
-        try:
-            size = message.wire_size()
-        except AttributeError:
-            size = 64
         payload = getattr(message, "payload", message)
         name = type(payload).__name__
         self.message_counts[name] += 1
@@ -163,33 +167,18 @@ class MetricsCollector(ReplicaObserver):
         self.honest_messages += 1
         self.honest_bytes += size
 
-    def on_wire_send(
-        self, sender: int, receiver: int, message: object, time: float, size: int
-    ) -> None:
-        """Live-network hook: like :meth:`on_send` but billed at the *real*
-        encoded frame size instead of the modeled ``wire_size()``."""
-        if sender not in self.honest_ids:
-            return
-        name = type(message).__name__
-        self.message_counts[name] += 1
-        self.message_bytes[name] += size
-        self.honest_messages += 1
-        self.honest_bytes += size
-        self.encoded_bytes += size
-
     def on_channel_event(
         self, kind: str, sender: int, receiver: int, packet: object, time: float
     ) -> None:
         """Channel hook: retransmit/ack/duplicate/abandon overhead events."""
         if sender not in self.honest_ids:
             return
-        size = getattr(packet, "wire_size", lambda: 64)()
         if kind == "retransmit":
             self.retransmissions += 1
-            self.retransmit_bytes += size
+            self.retransmit_bytes += packet.wire_size()
         elif kind == "ack":
             self.acks += 1
-            self.ack_bytes += size
+            self.ack_bytes += packet.wire_size()
         elif kind == "duplicate":
             self.duplicates_suppressed += 1
         elif kind == "abandon":

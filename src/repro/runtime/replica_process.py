@@ -98,7 +98,7 @@ class ProcessNetwork:
             return
         size = FRAME_HEADER_SIZE + len(payload)
         if self.metrics is not None:
-            self.metrics.on_wire_send(
+            self.metrics.on_send(
                 sender, receiver, message, self.scheduler.now, size
             )
         if self.transport.send(receiver, payload):

@@ -7,8 +7,8 @@ are content hashes, so equivocating proposals have different ids.
 Both block types are frozen, slotted dataclasses.  Every block is stored,
 relayed and (once committed) kept for the ledger's lifetime, so the id is
 computed once when the block is built and held in a plain slot, and the
-modeled wire size is memoised in a slot filled on first use.  Neither slot
-takes part in ``==``, ``hash`` or ``repr``.
+codec memoises the block's encoded size in a slot on first use.  Neither
+slot takes part in ``==``, ``hash`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.crypto.hashing import DIGEST_WIRE_SIZE, Digest, hash_fields
+from repro.crypto.hashing import Digest, hash_fields
 from repro.types.certificates import (
     EndorsedFallbackQC,
     FallbackQC,
@@ -25,9 +25,6 @@ from repro.types.certificates import (
     Rank,
 )
 from repro.types.transactions import EMPTY_BATCH, Batch
-
-#: Modeled wire size of block header fields (round, view, author, ...).
-BLOCK_HEADER_WIRE_SIZE = 32
 
 #: Certificate types a block may embed as its parent pointer.
 AnyParent = Union[QC, EndorsedFallbackQC, FallbackQC]
@@ -74,7 +71,7 @@ class Block:
     batch: Batch = EMPTY_BATCH
     author: int = -1
     id: Digest = field(init=False, repr=False, compare=False)
-    _wire_size: Optional[int] = field(
+    _encoded_size: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -104,19 +101,6 @@ class Block:
     def is_genesis(self) -> bool:
         return self.qc is None and self.round == 0
 
-    def wire_size(self) -> int:
-        size = self._wire_size
-        if size is None:
-            qc_size = self.qc.wire_size() if self.qc is not None else 0
-            size = (
-                DIGEST_WIRE_SIZE
-                + BLOCK_HEADER_WIRE_SIZE
-                + qc_size
-                + self.batch.wire_size()
-            )
-            object.__setattr__(self, "_wire_size", size)
-        return size
-
     def __repr__(self) -> str:  # compact, for traces
         return f"Block(r={self.round}, v={self.view}, id={self.id[:8]})"
 
@@ -136,7 +120,7 @@ class FallbackBlock:
     proposer: int
     batch: Batch = EMPTY_BATCH
     id: Digest = field(init=False, repr=False, compare=False)
-    _wire_size: Optional[int] = field(
+    _encoded_size: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -165,19 +149,6 @@ class FallbackBlock:
     def rank(self) -> Rank:
         """Rank as an unendorsed f-block (endorsement is a certificate affair)."""
         return Rank(view=self.view, endorsed=False, round=self.round)
-
-    def wire_size(self) -> int:
-        size = self._wire_size
-        if size is None:
-            size = (
-                DIGEST_WIRE_SIZE
-                + BLOCK_HEADER_WIRE_SIZE
-                + 16  # height + proposer
-                + self.qc.wire_size()
-                + self.batch.wire_size()
-            )
-            object.__setattr__(self, "_wire_size", size)
-        return size
 
     def __repr__(self) -> str:
         return (

@@ -21,10 +21,6 @@ from typing import Optional, Union
 from repro.crypto.hashing import Digest, hash_fields
 from repro.crypto.threshold import ThresholdSignature
 
-#: Modeled wire size of certificate metadata (ids + numbers), in bytes.
-CERT_HEADER_WIRE_SIZE = 48
-COIN_QC_WIRE_SIZE = 96
-
 
 def _signature_fingerprint(signature: ThresholdSignature) -> tuple:
     """Everything verification reads from a threshold signature.
@@ -137,9 +133,6 @@ class QC:
             object.__setattr__(self, "_digest", digest)
         return digest
 
-    def wire_size(self) -> int:
-        return CERT_HEADER_WIRE_SIZE + self.signature.wire_size()
-
 
 @dataclass(frozen=True, slots=True)
 class FallbackQC:
@@ -184,9 +177,6 @@ class FallbackQC:
             object.__setattr__(self, "_digest", digest)
         return digest
 
-    def wire_size(self) -> int:
-        return CERT_HEADER_WIRE_SIZE + 16 + self.signature.wire_size()
-
 
 @dataclass(frozen=True, slots=True)
 class CoinQC:
@@ -211,9 +201,6 @@ class CoinQC:
             digest = hash_fields("coinqc-digest", self.view, self.leader, self.proof_tag)
             object.__setattr__(self, "_digest", digest)
         return digest
-
-    def wire_size(self) -> int:
-        return COIN_QC_WIRE_SIZE
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,9 +254,6 @@ class EndorsedFallbackQC:
             object.__setattr__(self, "_digest", digest)
         return digest
 
-    def wire_size(self) -> int:
-        return self.fqc.wire_size() + self.coin_qc.wire_size()
-
 
 #: What a block may embed as its parent certificate / what qc_high holds.
 ParentCert = Union[QC, EndorsedFallbackQC]
@@ -307,9 +291,6 @@ class TimeoutCertificate:
             object.__setattr__(self, "_digest", digest)
         return digest
 
-    def wire_size(self) -> int:
-        return CERT_HEADER_WIRE_SIZE + self.signature.wire_size()
-
 
 @dataclass(frozen=True, slots=True)
 class FallbackTC:
@@ -334,9 +315,6 @@ class FallbackTC:
             )
             object.__setattr__(self, "_digest", digest)
         return digest
-
-    def wire_size(self) -> int:
-        return CERT_HEADER_WIRE_SIZE + self.signature.wire_size()
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Channels are reliable and authenticated (the network reports the true
 sender), so messages do not carry explicit signature objects; where the
-paper signs a message (timeouts), the signature bytes are included in the
-modeled wire size.  Threshold-signature *shares* are first-class fields
+paper signs a message (proposals, timeouts), the wire codec reserves an
+author-signature slot.  Threshold-signature *shares* are first-class fields
 because the protocol aggregates them.
 """
 
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.coin import CoinShare
-from repro.crypto.hashing import DIGEST_WIRE_SIZE, Digest
-from repro.crypto.signatures import SIGNATURE_WIRE_SIZE
+from repro.crypto.hashing import Digest
 from repro.crypto.threshold import ThresholdSignatureShare
 from repro.types.blocks import AnyBlock, Block, FallbackBlock
 from repro.types.certificates import (
@@ -25,17 +24,11 @@ from repro.types.certificates import (
     TimeoutCertificate,
 )
 
-#: Modeled per-message envelope overhead (type tag, sender, MAC), in bytes.
-MESSAGE_OVERHEAD = 24
-
 
 class Message:
     """Marker base class for protocol messages."""
 
     __slots__ = ()
-
-    def wire_size(self) -> int:
-        raise NotImplementedError
 
     @property
     def type_name(self) -> str:
@@ -51,9 +44,6 @@ class Proposal(Message):
 
     block: Block
 
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + SIGNATURE_WIRE_SIZE + self.block.wire_size()
-
 
 @dataclass(frozen=True)
 class Vote(Message):
@@ -63,9 +53,6 @@ class Vote(Message):
     round: int
     view: int
     share: ThresholdSignatureShare
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + DIGEST_WIRE_SIZE + 16 + self.share.wire_size()
 
 
 # ----------------------------------------------------------------------
@@ -79,14 +66,6 @@ class PacemakerTimeout(Message):
     share: ThresholdSignatureShare
     qc_high: ParentCert
 
-    def wire_size(self) -> int:
-        return (
-            MESSAGE_OVERHEAD
-            + SIGNATURE_WIRE_SIZE
-            + self.share.wire_size()
-            + self.qc_high.wire_size()
-        )
-
 
 @dataclass(frozen=True)
 class PacemakerTCMessage(Message):
@@ -94,9 +73,6 @@ class PacemakerTCMessage(Message):
 
     tc: TimeoutCertificate
     qc_high: ParentCert
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + self.tc.wire_size() + self.qc_high.wire_size()
 
 
 # ----------------------------------------------------------------------
@@ -110,23 +86,12 @@ class FallbackTimeout(Message):
     share: ThresholdSignatureShare
     qc_high: ParentCert
 
-    def wire_size(self) -> int:
-        return (
-            MESSAGE_OVERHEAD
-            + SIGNATURE_WIRE_SIZE
-            + self.share.wire_size()
-            + self.qc_high.wire_size()
-        )
-
 
 @dataclass(frozen=True)
 class FallbackTCMessage(Message):
     """A formed f-TC, multicast when a replica enters the fallback."""
 
     ftc: FallbackTC
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + self.ftc.wire_size()
 
 
 @dataclass(frozen=True)
@@ -135,12 +100,6 @@ class FallbackProposal(Message):
 
     fblock: FallbackBlock
     ftc: Optional[FallbackTC] = None
-
-    def wire_size(self) -> int:
-        size = MESSAGE_OVERHEAD + SIGNATURE_WIRE_SIZE + self.fblock.wire_size()
-        if self.ftc is not None:
-            size += self.ftc.wire_size()
-        return size
 
 
 @dataclass(frozen=True)
@@ -154,18 +113,12 @@ class FallbackVote(Message):
     proposer: int
     share: ThresholdSignatureShare
 
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + DIGEST_WIRE_SIZE + 24 + self.share.wire_size()
-
 
 @dataclass(frozen=True)
 class FallbackQCMessage(Message):
     """A completed top-height f-QC, multicast to announce chain completion."""
 
     fqc: FallbackQC
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + SIGNATURE_WIRE_SIZE + self.fqc.wire_size()
 
 
 @dataclass(frozen=True)
@@ -174,18 +127,12 @@ class CoinShareMessage(Message):
 
     share: CoinShare
 
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + self.share.wire_size()
-
 
 @dataclass(frozen=True)
 class CoinQCMessage(Message):
     """A formed coin-QC, multicast so every replica can exit the fallback."""
 
     coin_qc: CoinQC
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + self.coin_qc.wire_size()
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +144,12 @@ class BlockRequest(Message):
 
     block_id: Digest
 
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + DIGEST_WIRE_SIZE
-
 
 @dataclass(frozen=True)
 class BlockResponse(Message):
     """Answer to a :class:`BlockRequest`."""
 
     block: AnyBlock
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + self.block.wire_size()
 
 
 @dataclass(frozen=True)
@@ -222,9 +163,6 @@ class ChainRequest(Message):
     block_id: Digest
     max_blocks: int = 32
 
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + DIGEST_WIRE_SIZE + 4
-
 
 @dataclass(frozen=True)
 class ChainResponse(Message):
@@ -232,6 +170,3 @@ class ChainResponse(Message):
     newest first, as far back as the holder has them (bounded)."""
 
     blocks: tuple[AnyBlock, ...]
-
-    def wire_size(self) -> int:
-        return MESSAGE_OVERHEAD + sum(block.wire_size() for block in self.blocks)

@@ -13,9 +13,6 @@ from typing import Iterable, Optional
 
 from repro.crypto.hashing import Digest, hash_fields
 
-#: Modeled per-transaction envelope overhead (ids, signature), in bytes.
-TRANSACTION_OVERHEAD = 40
-
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
@@ -35,24 +32,17 @@ class Transaction:
     payload_size: int = 100
     submitted_at: float = 0.0
 
-    def wire_size(self) -> int:
-        return TRANSACTION_OVERHEAD + self.payload_size
-
 
 @dataclass(frozen=True, slots=True)
 class Batch:
     """The ``txn`` component of a block.
 
     The digest is computed when the batch is built, since every block id
-    reads it; the modeled wire size is memoised in a slot on first use.
-    Neither takes part in ``==`` or ``hash``.
+    reads it; it takes no part in ``==`` or ``hash``.
     """
 
     transactions: tuple[Transaction, ...] = ()
     digest: Digest = field(init=False, repr=False, compare=False)
-    _wire_size: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -66,13 +56,6 @@ class Batch:
 
     def __iter__(self):
         return iter(self.transactions)
-
-    def wire_size(self) -> int:
-        size = self._wire_size
-        if size is None:
-            size = sum(tx.wire_size() for tx in self.transactions)
-            object.__setattr__(self, "_wire_size", size)
-        return size
 
     @classmethod
     def of(cls, transactions: Iterable[Transaction]) -> "Batch":

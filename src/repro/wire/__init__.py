@@ -4,8 +4,10 @@
 blocks and transactions inside them) into canonical versioned bytes and
 back; ``repro.wire.framing`` delimits those byte strings on a stream
 transport.  The live runtime (`repro.runtime.live`) ships codec output over
-real TCP sockets.  The simulator never encodes: it bills each message's
-modeled ``wire_size()``, which ``encoded_size`` is tested to track.
+real TCP sockets.  The simulator never encodes: it bills each message at
+``FRAME_HEADER_SIZE + encoded_size(message)``, which the codec table
+computes without encoding and which equals the framed bytes live mode
+ships.
 """
 
 from repro.wire.codec import (

@@ -24,23 +24,27 @@ Layout of one encoded message::
 
 One schema drives both directions: :data:`MESSAGE_TABLE` maps each tag to
 its message type and that type's fields in wire order.  A field is a
-:class:`_Codec` (``write``/``read`` pair): a fixed-width integer, digest,
-string, reserved zeros, optional, u16-counted sequence, record padded to a
-slot, or tagged union restricted to given types — certificates and blocks
-are unions with tables of their own.  Only the transaction and the signer
-list are hand-written: each carries a rule that spans fields.
+:class:`_Codec` (``write``/``read``/``size``): a fixed-width integer,
+digest, string, reserved zeros, optional, u16-counted sequence, record
+padded to a slot, or tagged union restricted to given types — certificates
+and blocks are unions with tables of their own.  Only the transaction and
+the signer list are hand-written: each carries a rule that spans fields.
 
-The 24-byte envelope equals the modeled ``MESSAGE_OVERHEAD`` by design.
-More generally the codec reserves *production-sized* slots for crypto
-objects — 96 B for a combined threshold signature (BLS12-381-like), 48 B
-per share, 32 B per digest, 96 B for a coin proof, 64 B for an author
-signature, 48 B for certificate headers — carrying the simulation's
-smaller stand-ins inside the slot with zero padding.  That makes
-``encoded_size()`` track what a real deployment would put on the wire,
-which is exactly what the modeled ``wire_size()`` estimates claim to
-approximate; the parity test in ``tests/wire/test_wire_size_parity.py``
-pins the two within a documented tolerance (|encoded - modeled| <=
-max(16 bytes, 10%)).
+The same table sizes a message without encoding it: a fixed-width field
+carries its width, a record of fixed fields folds to one constant when the
+table is built, a union looks its member's size up by type, and a block
+memoises its size in a slot.  :func:`encoded_size` therefore equals
+``len(encode_message(sender, message))``, and it is the one size model:
+the simulator bills every send at it (plus the stream frame header), as
+live mode bills the bytes it actually ships.
+
+The codec reserves *production-sized* slots for crypto objects — 96 B for
+a combined threshold signature (BLS12-381-like), 48 B per share, 32 B per
+digest, 96 B for a coin proof, 64 B for an author signature, 48 B for
+certificate headers — carrying the simulation's smaller stand-ins inside
+the slot with zero padding, so byte counts track what a real deployment
+would put on the wire.  A combined signature also ships its signer list,
+which outgrows the 96-byte slot beyond 27 signers.
 
 Versioning rules: the version byte covers the entire layout.  Any change
 to field order, widths, slot sizes or tag meanings bumps ``WIRE_VERSION``;
@@ -51,30 +55,24 @@ without a version bump; reusing or renumbering a tag bumps
 
 Integers are 8-byte signed big-endian throughout; strings are u16
 length-prefixed UTF-8; digests ship as 16 raw bytes (the in-memory hex id)
-padded to the 32-byte modeled digest slot.
+padded to the 32-byte digest slot.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from repro.client.client import ClientReply, ClientRequest
 from repro.crypto.coin import CoinShare
-from repro.crypto.hashing import DIGEST_WIRE_SIZE
-from repro.crypto.signatures import SIGNATURE_WIRE_SIZE
-from repro.crypto.threshold import (
-    SHARE_WIRE_SIZE, THRESHOLD_SIG_WIRE_SIZE, ThresholdSignature,
-    ThresholdSignatureShare,
-)
+from repro.crypto.threshold import ThresholdSignature, ThresholdSignatureShare
 from repro.types.blocks import Block, FallbackBlock
 from repro.types.certificates import (
-    CERT_HEADER_WIRE_SIZE, COIN_QC_WIRE_SIZE, QC, CoinQC, EndorsedFallbackQC,
-    FallbackQC, FallbackTC, TimeoutCertificate,
+    QC, CoinQC, EndorsedFallbackQC, FallbackQC, FallbackTC, TimeoutCertificate,
 )
 from repro.types.messages import (
-    MESSAGE_OVERHEAD, BlockRequest, BlockResponse, ChainRequest, ChainResponse,
-    CoinQCMessage, CoinShareMessage, FallbackProposal, FallbackQCMessage,
+    BlockRequest, BlockResponse, ChainRequest, ChainResponse, CoinQCMessage,
+    CoinShareMessage, FallbackProposal, FallbackQCMessage,
     FallbackTCMessage, FallbackTimeout, FallbackVote, PacemakerTCMessage,
     PacemakerTimeout, Proposal, Vote,
 )
@@ -82,6 +80,18 @@ from repro.types.transactions import EMPTY_BATCH, Batch, Transaction
 
 #: Bump on ANY layout change (see module docstring for the rules).
 WIRE_VERSION = 1
+
+#: The envelope ahead of every body: version, tag, sender, reserved, auth.
+MESSAGE_OVERHEAD = 1 + 1 + 2 + 4 + 16
+
+#: Production-sized slots, in bytes: a digest, an author signature
+#: (Ed25519), a combined threshold signature (BLS12-381), a certificate
+#: header and a coin-QC.
+DIGEST_WIRE_SIZE = 32
+SIGNATURE_WIRE_SIZE = 64
+THRESHOLD_SIG_WIRE_SIZE = 96
+CERT_HEADER_WIRE_SIZE = 48
+COIN_QC_WIRE_SIZE = 96
 
 #: Raw digest bytes actually carried inside the 32-byte digest slot.
 _DIGEST_RAW_SIZE = 16
@@ -117,10 +127,21 @@ class _Reader:
 
 
 class _Codec(NamedTuple):
-    """One field's wire form: append a value to a buffer, read one back."""
+    """One field's wire form: append a value to a buffer, read one back,
+    and the encoded length — an int for a fixed-width field, else a
+    function of the value."""
 
     write: Callable[[bytearray, Any], None]
     read: Callable[[_Reader], Any]
+    size: Union[int, Callable[[Any], int]]
+
+
+def _sizer(codec: _Codec) -> Callable[[Any], int]:
+    """``codec.size`` as a function of the value."""
+    size = codec.size
+    if isinstance(size, int):
+        return lambda _value: size
+    return size
 
 
 #: One record field: attribute name (None for reserved bytes) and codec.
@@ -146,7 +167,7 @@ def _number(fmt: str, label: str) -> _Codec:
         r.pos += size
         return value
 
-    return _Codec(write, read)
+    return _Codec(write, read, size)
 
 
 _U8 = _number(">B", "u8")
@@ -166,7 +187,9 @@ def _skip_zeros(r: _Reader, count: int) -> None:
 def _zeros(count: int) -> _Codec:
     """Reserved bytes: written as zeros, rejected unless zero on read."""
     padding = bytes(count)
-    return _Codec(lambda buf, _: buf.extend(padding), lambda r: _skip_zeros(r, count))
+    return _Codec(
+        lambda buf, _: buf.extend(padding), lambda r: _skip_zeros(r, count), count
+    )
 
 
 _DIGEST_PAD = DIGEST_WIRE_SIZE - _DIGEST_RAW_SIZE
@@ -190,11 +213,11 @@ def _read_digest(r: _Reader) -> str:
     return r.data[start:start + _DIGEST_RAW_SIZE].hex()
 
 
-_DIGEST = _Codec(_write_digest, _read_digest)
+_DIGEST = _Codec(_write_digest, _read_digest, DIGEST_WIRE_SIZE)
 
 #: A block's id: shipped as a digest, recomputed from the decoded fields
 #: and compared, so a block cannot smuggle a mismatched identity.
-_BLOCK_ID = _Codec(_write_digest, _read_digest)
+_BLOCK_ID = _Codec(_write_digest, _read_digest, DIGEST_WIRE_SIZE)
 
 
 def _write_string(buf: bytearray, value: Any) -> None:
@@ -212,7 +235,11 @@ def _read_string(r: _Reader) -> str:
         raise DecodeError(f"invalid UTF-8 in string field: {exc}") from exc
 
 
-_STRING = _Codec(_write_string, _read_string)
+def _string_size(value: str) -> int:
+    return 2 + len(value.encode("utf-8"))
+
+
+_STRING = _Codec(_write_string, _read_string, _string_size)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +247,8 @@ _STRING = _Codec(_write_string, _read_string)
 # ----------------------------------------------------------------------
 def _optional(codec: _Codec) -> _Codec:
     """A u8 presence flag, then the value if the flag is set."""
-    write_value, read_value = codec
+    write_value, read_value, _ = codec
+    size_value = _sizer(codec)
 
     def write(buf: bytearray, value: Any) -> None:
         if value is None:
@@ -235,12 +263,14 @@ def _optional(codec: _Codec) -> _Codec:
             raise DecodeError(f"presence flag {flag} is neither 0 nor 1")
         return read_value(r) if flag else None
 
-    return _Codec(write, read)
+    return _Codec(
+        write, read, lambda value: 1 if value is None else 1 + size_value(value)
+    )
 
 
 def _sequence(item: _Codec) -> _Codec:
     """A u16 count, then that many items; decodes to a tuple."""
-    write_item, read_item = item
+    write_item, read_item, item_size = item
 
     def write(buf: bytearray, values: Any) -> None:
         _U16.write(buf, len(values))  # rejects more than 65 535 items
@@ -250,12 +280,14 @@ def _sequence(item: _Codec) -> _Codec:
     def read(r: _Reader) -> tuple[Any, ...]:
         return tuple([read_item(r) for _ in range(_U16.read(r))])
 
-    return _Codec(write, read)
+    if isinstance(item_size, int):
+        return _Codec(write, read, lambda values: 2 + item_size * len(values))
+    return _Codec(write, read, lambda values: 2 + sum(map(item_size, values)))
 
 
 def _padded(codec: _Codec, slot: int) -> _Codec:
     """``codec`` followed by zeros up to ``slot`` bytes (none if it is longer)."""
-    write_value, read_value = codec
+    write_value, read_value, value_size = codec
 
     def write(buf: bytearray, value: Any) -> None:
         start = len(buf)
@@ -268,18 +300,25 @@ def _padded(codec: _Codec, slot: int) -> _Codec:
         _skip_zeros(r, max(0, slot - (r.pos - start)))
         return value
 
-    return _Codec(write, read)
+    if isinstance(value_size, int):
+        return _Codec(write, read, max(slot, value_size))
+    return _Codec(write, read, lambda value: max(slot, value_size(value)))
 
 
 def _record(cls: type[Any], fields: tuple[_Field, ...]) -> _Codec:
     """``fields`` in order; decodes by calling ``cls`` with the named values.
 
     A :data:`_BLOCK_ID` field is not a constructor argument: the decoded
-    object recomputes it and must agree with what was shipped.
+    object recomputes it and must agree with what was shipped.  When every
+    field is fixed-width the record's size folds to one constant.
     """
     writers = tuple((name, codec.write) for name, codec in fields)
     readers = tuple((name, codec.read) for name, codec in fields)
     shipped = next((name for name, codec in fields if codec is _BLOCK_ID), None)
+    fixed = sum(codec.size for _, codec in fields if isinstance(codec.size, int))
+    variable = tuple(
+        (name, codec.size) for name, codec in fields if not isinstance(codec.size, int)
+    )
 
     def write(buf: bytearray, value: Any) -> None:
         for name, write_field in writers:
@@ -298,7 +337,13 @@ def _record(cls: type[Any], fields: tuple[_Field, ...]) -> _Codec:
             raise DecodeError("block id does not match block contents")
         return value
 
-    return _Codec(write, read)
+    def size(value: Any) -> int:
+        total = fixed
+        for name, size_field in variable:
+            total += size_field(getattr(value, name))
+        return total
+
+    return _Codec(write, read, size if variable else fixed)
 
 
 #: A tag table: tag -> (type, fields in wire order).
@@ -312,12 +357,15 @@ class _Union:
         self.kind = kind
         self.by_type: dict[type[Any], tuple[int, _Codec]] = {}
         self.by_tag: dict[int, tuple[type[Any], _Codec]] = {}
+        #: Type -> its record's size as a function of the value.
+        self.sizes: dict[type[Any], Callable[[Any], int]] = {}
 
     def define(self, table: _Table) -> _Table:
         for tag, (cls, fields) in table.items():
             codec = _record(cls, fields)
             self.by_type[cls] = (tag, codec)
             self.by_tag[tag] = (cls, codec)
+            self.sizes[cls] = _sizer(codec)
         return table
 
     def of(self, *types: type[Any]) -> _Codec:
@@ -326,7 +374,7 @@ class _Union:
         Encoding accepts any member, so a peer that sends a certificate of
         the wrong kind is refused by the receiver, not by its own encoder.
         """
-        kind, by_type, by_tag = self.kind, self.by_type, self.by_tag
+        kind, by_type, by_tag, sizes = self.kind, self.by_type, self.by_tag, self.sizes
         expected = "/".join(cls.__name__ for cls in types)
 
         def write(buf: bytearray, value: Any) -> None:
@@ -347,7 +395,7 @@ class _Union:
                 )
             return entry[1].read(r)
 
-        return _Codec(write, read)
+        return _Codec(write, read, lambda value: 1 + sizes[type(value)](value))
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +416,7 @@ def _read_signers(r: _Reader) -> tuple[int, ...]:
     return signers
 
 
-_SIGNERS = _Codec(_U16_SEQUENCE.write, _read_signers)
+_SIGNERS = _Codec(_U16_SEQUENCE.write, _read_signers, _U16_SEQUENCE.size)
 
 
 def _write_transaction(buf: bytearray, tx: Any) -> None:
@@ -393,7 +441,12 @@ def _read_transaction(r: _Reader) -> Transaction:
     return Transaction(tx_id, client, payload, payload_size, submitted_at)
 
 
-_TRANSACTION = _Codec(_write_transaction, _read_transaction)
+def _transaction_size(tx: Any) -> int:
+    payload = len(tx.payload.encode("utf-8"))
+    return _string_size(tx.tx_id) + 3 * 8 + 2 + max(payload, tx.payload_size)
+
+
+_TRANSACTION = _Codec(_write_transaction, _read_transaction, _transaction_size)
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +458,7 @@ _TRANSACTIONS = _sequence(_TRANSACTION)
 _BATCH = _Codec(
     lambda buf, batch: _TRANSACTIONS.write(buf, batch.transactions),
     lambda r: Batch(txs) if (txs := _TRANSACTIONS.read(r)) else EMPTY_BATCH,
+    lambda batch: _TRANSACTIONS.size(batch.transactions),
 )
 
 _THRESHOLD_SIG = _padded(_record(
@@ -414,14 +468,13 @@ _THRESHOLD_SIG = _padded(_record(
 _SHARE = _record(
     ThresholdSignatureShare, (("signer", _I64), ("epoch", _I64), ("tag", _DIGEST))
 )
-assert 8 + 8 + DIGEST_WIRE_SIZE == SHARE_WIRE_SIZE  # share slot is exact
 
 _COIN_SHARE = _record(CoinShare, (
     ("signer", _I64), ("view", _I64), ("epoch", _I64), ("tag", _DIGEST),
 ))
 
 #: Zeros filling the certificate header slot for certs whose natural
-#: header (one number) is smaller than the modeled 48 bytes — a production
+#: header (one number) is smaller than the 48-byte slot — a production
 #: TC carries the signers' high-round vector there.
 _TC_HEADER_PAD = _zeros(CERT_HEADER_WIRE_SIZE - 8)
 
@@ -464,6 +517,24 @@ _BLOCKS.define({
     )),
 })
 
+
+def _memoized(size: Callable[[Any], int]) -> Callable[[Any], int]:
+    """Size a block once: relays and sync responses resend the same object."""
+
+    def memo(block: Any) -> int:
+        value = block._encoded_size
+        if value is None:
+            value = size(block)
+            object.__setattr__(block, "_encoded_size", value)
+        return value
+
+    return memo
+
+
+_BLOCKS.sizes.update(
+    {cls: _memoized(_BLOCKS.sizes[cls]) for cls in (Block, FallbackBlock)}
+)
+
 #: The author-signature slot that opens a signed message's body.
 _AUTHOR_SIG: _Field = (None, _zeros(SIGNATURE_WIRE_SIZE))
 
@@ -505,7 +576,6 @@ MESSAGE_TABLE = _MESSAGES.define({
 
 #: The envelope's reserved bytes (4) and auth slot (16), after the sender.
 _ENVELOPE_PAD = _zeros(4 + 16)
-assert 1 + 1 + 2 + 4 + 16 == MESSAGE_OVERHEAD  # envelope is the modeled one
 
 
 # ----------------------------------------------------------------------
@@ -555,6 +625,10 @@ def decode_message(data: bytes) -> tuple[int, object]:
     return sender, message
 
 
-def encoded_size(message: object, sender: int = 0) -> int:
-    """Real encoded byte count of ``message`` (excluding stream framing)."""
-    return len(encode_message(sender, message))
+def encoded_size(message: object) -> int:
+    """``len(encode_message(sender, message))`` for any sender, read off the
+    table: nothing is encoded.  Excludes stream framing."""
+    size = _MESSAGES.sizes.get(type(message))
+    if size is None:
+        raise EncodeError(f"no codec entry for {type(message).__name__}")
+    return MESSAGE_OVERHEAD + size(message)

@@ -57,7 +57,7 @@ def test_per_decision_costs_from_metrics():
     metrics.message_counts.update({"Proposal": 5, "FallbackVote": 2})
     from tests.runtime.test_metrics import commit_record
 
-    metrics.on_send(0, 1, "m", 0.0, 0.1)
+    metrics.on_send(0, 1, "m", 0.0, 64)
     metrics.on_commit(0, commit_record(), 1.0)
     costs = per_decision_costs(metrics)
     assert costs.live

@@ -10,6 +10,9 @@ from repro.crypto.signatures import (
     require_valid,
     verify,
 )
+from repro.types.blocks import genesis_block
+from repro.types.messages import Proposal
+from repro.wire.codec import MESSAGE_OVERHEAD, SIGNATURE_WIRE_SIZE, encode_message
 
 
 @pytest.fixture
@@ -60,9 +63,11 @@ def test_require_valid_raises(registry):
         require_valid(registry, sig, "tampered")
 
 
-def test_signature_wire_size(registry):
-    sig = make_signer(registry, 0).sign("m")
-    assert sig.wire_size() == 64
+def test_signature_wire_size():
+    # Author signatures travel in a 64-byte (Ed25519) slot after the envelope.
+    data = encode_message(0, Proposal(genesis_block()))
+    assert SIGNATURE_WIRE_SIZE == 64
+    assert data[MESSAGE_OVERHEAD:MESSAGE_OVERHEAD + SIGNATURE_WIRE_SIZE] == bytes(64)
 
 
 def test_registry_membership(registry):

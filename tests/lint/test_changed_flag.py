@@ -57,7 +57,6 @@ def _lint_changed(repo, capsys):
         [
             "lint",
             "--src", str(repo / "src"),
-            "--no-tests",
             "--changed",
             "--format", "json",
             "--fail-on", "warning",
@@ -137,7 +136,6 @@ def test_changed_outside_git_checkout_fails_loudly(tmp_path, capsys):
             [
                 "lint",
                 "--src", str(tmp_path / "plain" / "src"),
-                "--no-tests",
                 "--changed",
             ]
         )

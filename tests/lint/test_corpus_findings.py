@@ -26,7 +26,7 @@ def _extract_corpus(dest: Path) -> Path:
 
 def test_corpus_findings_match_the_pinned_list(tmp_path, capsys):
     src_root = _extract_corpus(tmp_path / "corpus")
-    status = main(["lint", "--src", str(src_root), "--no-tests", "--format", "json"])
+    status = main(["lint", "--src", str(src_root), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     # The pinned list is empty: no retained rule flags the corpus.
     assert payload["findings"] == []

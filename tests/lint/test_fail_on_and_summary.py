@@ -66,7 +66,7 @@ def warning_tree(tmp_path):
 
 def test_cli_warning_passes_by_default(warning_tree, capsys):
     code = main([
-        "lint", "--src", str(warning_tree), "--no-tests",
+        "lint", "--src", str(warning_tree),
         "--rule", "swallowed-exception",
     ])
     out = capsys.readouterr().out
@@ -76,7 +76,7 @@ def test_cli_warning_passes_by_default(warning_tree, capsys):
 
 def test_cli_fail_on_warning_turns_warnings_fatal(warning_tree, capsys):
     code = main([
-        "lint", "--src", str(warning_tree), "--no-tests",
+        "lint", "--src", str(warning_tree),
         "--rule", "swallowed-exception", "--fail-on", "warning",
     ])
     capsys.readouterr()
@@ -85,7 +85,7 @@ def test_cli_fail_on_warning_turns_warnings_fatal(warning_tree, capsys):
 
 def test_cli_json_summary_reports_severity_counts(warning_tree, capsys):
     code = main([
-        "lint", "--src", str(warning_tree), "--no-tests",
+        "lint", "--src", str(warning_tree),
         "--rule", "swallowed-exception", "--format", "json",
     ])
     payload = json.loads(capsys.readouterr().out)

@@ -4,17 +4,21 @@ import random
 
 import pytest
 
+from repro.client.client import ClientRequest
 from repro.net.bandwidth import BandwidthDelay
 from repro.net.conditions import SynchronousDelay
+from repro.net.network import billed_size
 from repro.runtime.cluster import ClusterBuilder
+from repro.types.transactions import Transaction
 
 
-class Sized:
-    def __init__(self, size):
-        self._size = size
-
-    def wire_size(self):
-        return self._size
+def Sized(size):
+    """A real message the network bills exactly ``size`` bytes: a client
+    request whose payload slot makes up the difference."""
+    bare = billed_size(ClientRequest(Transaction(tx_id="t", payload_size=0)))
+    message = ClientRequest(Transaction(tx_id="t", payload_size=size - bare))
+    assert billed_size(message) == size
+    return message
 
 
 @pytest.fixture

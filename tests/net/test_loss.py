@@ -16,6 +16,7 @@ from repro.net.loss import (
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
+from repro.types.messages import BlockRequest
 
 
 class Sink(Process):
@@ -238,12 +239,8 @@ def test_loss_draws_do_not_perturb_delay_draws():
 
 
 def test_untyped_message_counter():
-    class Sized:
-        def wire_size(self):
-            return 10
-
     scheduler, network, _ = build()
-    network.send(0, 1, Sized())
+    network.send(0, 1, BlockRequest(block_id="ab" * 16))
     assert network.untyped_messages == 0
     network.send(0, 1, "untyped")
     network.send(0, 1, b"also untyped")

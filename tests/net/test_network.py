@@ -3,9 +3,12 @@
 import pytest
 
 from repro.net.conditions import SynchronousDelay
-from repro.net.network import Network
+from repro.net.network import UNTYPED_WIRE_SIZE, Network, billed_size
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
+from repro.types.messages import BlockRequest
+from repro.wire.codec import encode_message
+from repro.wire.framing import FRAME_HEADER_SIZE
 
 
 class Sink(Process):
@@ -81,19 +84,41 @@ def test_send_hooks_observe_traffic():
 
 
 def test_bytes_accounting_uses_wire_size():
-    class Sized:
-        def wire_size(self):
-            return 123
-
+    message = BlockRequest(block_id="ab" * 16)
     scheduler, network, _ = build(n=2)
-    network.send(0, 1, Sized())
-    assert network.bytes_sent == 123
+    seen = []
+    network.add_send_hook(lambda s, r, m, t, size: seen.append(size))
+    network.send(0, 1, message)
+    framed = FRAME_HEADER_SIZE + len(encode_message(0, message))
+    assert network.bytes_sent == framed
+    assert seen == [framed]  # hooks get the size the network billed
 
 
 def test_default_size_for_untyped_messages():
     scheduler, network, _ = build(n=2)
     network.send(0, 1, "plain")
-    assert network.bytes_sent == 64
+    assert network.bytes_sent == UNTYPED_WIRE_SIZE == 64
+
+
+def test_network_falls_back_to_default_for_unknown_types():
+    net = Network(Scheduler(seed=1))
+
+    class Opaque:
+        pass
+
+    assert billed_size(Opaque(), net) == 64
+    assert net.untyped_messages == 1
+    assert billed_size(Opaque()) == 64
+    assert net.untyped_messages == 1
+
+
+def test_network_bills_codec_messages_without_counting_them_untyped():
+    net = Network(Scheduler(seed=1))
+    message = BlockRequest(block_id="ab" * 16)
+    assert billed_size(message, net) == FRAME_HEADER_SIZE + len(
+        encode_message(3, message)
+    )
+    assert net.untyped_messages == 0
 
 
 def test_determinism_same_seed_same_delivery_times():

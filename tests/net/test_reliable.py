@@ -12,6 +12,9 @@ from repro.net.reliable import (
 )
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
+from repro.types.messages import BlockRequest
+from repro.wire.codec import encoded_size
+from repro.wire.framing import FRAME_HEADER_SIZE
 
 
 class Sink(Process):
@@ -89,6 +92,9 @@ def test_self_delivery_bypasses_the_channel():
 def test_wire_sizes_of_frames():
     packet = DataPacket(seq=3, payload="x")
     assert packet.wire_size() == 8 + 64  # header + untyped default
+    request = BlockRequest(block_id="ab" * 16)
+    framed = DataPacket(seq=3, payload=request)
+    assert framed.wire_size() == 8 + FRAME_HEADER_SIZE + encoded_size(request)
     ack = AckPacket(cumulative=5, selective=(7, 9))
     assert ack.wire_size() == 32 + 2 * 4
 

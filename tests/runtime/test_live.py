@@ -10,7 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.analysis.complexity import live_decision_costs
+from repro.analysis.complexity import per_decision_costs
 from repro.net.tcp import TcpTransport
 from repro.runtime.live import (
     LiveCluster,
@@ -105,9 +105,9 @@ def test_live_cluster_survives_forced_fallback():
     prefix = cluster.committed_ids(0)[:20]
     for replica_id in range(1, 4):
         assert cluster.committed_ids(replica_id)[:20] == prefix
-    # Complexity analysis accepts the live metrics: every honest byte is a
-    # real encoded byte (frame header + codec payload), nothing modeled.
-    costs = live_decision_costs(cluster.metrics)
+    # Every honest byte is a framed codec byte, as in the simulator.
+    assert report.encoded_bytes == cluster.metrics.honest_bytes
+    costs = per_decision_costs(cluster.metrics)
     assert costs.decisions >= 20
     assert costs.bytes_per_decision > 0
 

@@ -2,19 +2,12 @@
 
 from repro.ledger.blockstore import BlockStore
 from repro.ledger.ledger import CommitRecord
+from repro.net.network import UNTYPED_WIRE_SIZE, billed_size
 from repro.runtime.metrics import MetricsCollector
 from repro.types.blocks import Block, FallbackBlock
 from repro.types.certificates import genesis_qc
+from repro.types.messages import BlockRequest
 from repro.types.transactions import Batch, make_transaction
-
-
-class Sized:
-    def __init__(self, size, name):
-        self.size = size
-        self.__class__.__name__ = name
-
-    def wire_size(self):
-        return self.size
 
 
 def make_metrics(honest=(0, 1, 2)):
@@ -35,12 +28,14 @@ def commit_record(round_=1, view=0, position=0, fallback=False, txs=()):
 
 def test_honest_only_message_accounting():
     metrics = make_metrics(honest=(0, 1))
-    from repro.types.messages import Proposal  # any typed message works
-
-    metrics.on_send(0, 1, "m", 0.0, 0.1)  # honest: counted (default 64B)
-    metrics.on_send(5, 1, "m", 0.0, 0.1)  # Byzantine sender: ignored
+    message = BlockRequest(block_id="ab" * 16)
+    size = billed_size(message)
+    metrics.on_send(0, 1, message, 0.0, size)  # honest: billed as charged
+    metrics.on_send(5, 1, message, 0.0, size)  # Byzantine sender: ignored
     assert metrics.honest_messages == 1
-    assert metrics.honest_bytes == 64
+    assert metrics.honest_bytes == size
+    assert metrics.message_bytes == {"BlockRequest": size}
+    assert metrics.encoded_bytes == 0  # nothing went through a transport
 
 
 def test_decisions_uses_max_honest_height():
@@ -63,8 +58,8 @@ def test_min_honest_height_needs_everyone():
 def test_per_decision_costs():
     metrics = make_metrics()
     assert metrics.messages_per_decision() is None
-    metrics.on_send(0, 1, "m", 0.0, 0.1)
-    metrics.on_send(0, 2, "m", 0.0, 0.1)
+    metrics.on_send(0, 1, "m", 0.0, UNTYPED_WIRE_SIZE)
+    metrics.on_send(0, 2, "m", 0.0, UNTYPED_WIRE_SIZE)
     metrics.on_commit(0, commit_record(), 1.0)
     assert metrics.messages_per_decision() == 2.0
     assert metrics.bytes_per_decision() == 128.0

@@ -4,7 +4,9 @@ import pytest
 
 from repro.types.blocks import Block, FallbackBlock, genesis_block, is_fallback
 from repro.types.certificates import Rank, genesis_qc
+from repro.types.messages import BlockResponse
 from repro.types.transactions import Batch, make_transaction
+from repro.wire.codec import encoded_size
 
 from tests.types.test_certificates import make_fqc, make_qc
 
@@ -79,7 +81,10 @@ def test_wire_size_includes_batch():
     qc = make_qc()
     empty = Block(qc=qc, round=2, view=0)
     loaded = Block(qc=qc, round=2, view=0, batch=Batch.of([make_transaction(0, payload_size=500)]))
-    assert loaded.wire_size() == empty.wire_size() + 500 + 40
+    # The payload slot, plus the id "tx-0-0" (2 + 6), three numbers and the
+    # payload's length prefix.
+    size = encoded_size(BlockResponse(loaded))
+    assert size == encoded_size(BlockResponse(empty)) + 500 + 8 + 24 + 2
 
 
 def test_genesis_qc_points_to_genesis():

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from repro.crypto.keys import Registry
 from repro.crypto.threshold import ThresholdScheme
 from repro.types.blocks import genesis_block
+from repro.types.messages import CoinQCMessage, FallbackQCMessage, PacemakerTCMessage
+from repro.wire.codec import MESSAGE_OVERHEAD, encoded_size
 from repro.types.certificates import (
     CoinQC,
     EndorsedFallbackQC,
@@ -164,9 +166,14 @@ def test_timeout_certificates_payloads():
 
 
 def test_wire_sizes_constant():
-    qc = make_qc()
-    assert qc.wire_size() == 48 + 96
-    fqc = make_fqc()
-    assert fqc.wire_size() == 48 + 16 + 96
+    # Each certificate ships as a tag byte and fixed slots: a 48-byte
+    # header (64 for an f-QC's height and proposer) and a 96-byte threshold
+    # signature, or a 96-byte coin-QC.
+    qc, fqc = make_qc(), make_fqc()
+    tc = TimeoutCertificate(round=1, signature=qc.signature)
+    pair = PacemakerTCMessage(tc=tc, qc_high=qc)
+    assert encoded_size(pair) == MESSAGE_OVERHEAD + 2 * (1 + 48 + 96)
+    announce = FallbackQCMessage(fqc=fqc)
+    assert encoded_size(announce) == MESSAGE_OVERHEAD + 64 + 1 + 48 + 16 + 96
     coin = CoinQC(view=1, leader=0, proof_tag="t")
-    assert coin.wire_size() == 96
+    assert encoded_size(CoinQCMessage(coin_qc=coin)) == MESSAGE_OVERHEAD + 1 + 96

@@ -1,4 +1,4 @@
-"""Tests for protocol message types and wire-size accounting."""
+"""Tests for protocol message types and their sizes on the wire."""
 
 import pytest
 
@@ -21,6 +21,8 @@ from repro.types.messages import (
     Proposal,
     Vote,
 )
+
+from repro.wire.codec import MESSAGE_OVERHEAD, encoded_size
 
 from tests.types.test_certificates import make_fqc, make_qc
 
@@ -64,12 +66,12 @@ def all_messages():
 
 @pytest.mark.parametrize("message", all_messages(), ids=lambda m: m.type_name)
 def test_every_message_has_positive_wire_size(message):
-    assert message.wire_size() > 0
+    assert encoded_size(message) > MESSAGE_OVERHEAD
 
 
 @pytest.mark.parametrize("message", all_messages(), ids=lambda m: m.type_name)
 def test_wire_size_is_deterministic(message):
-    assert message.wire_size() == message.wire_size()
+    assert encoded_size(message) == encoded_size(message)  # memoised blocks too
 
 
 def test_proposal_size_scales_with_batch():
@@ -82,19 +84,22 @@ def test_proposal_size_scales_with_batch():
         qc=gqc, round=1, view=0, author=0,
         batch=Batch.of([make_transaction(i, payload_size=1000) for i in range(5)]),
     ))
-    assert big.wire_size() - small.wire_size() == 5 * (1000 + 40)
+    # Each transaction: its payload slot, the id "tx-0-i" (2 + 6), three
+    # numbers and the payload's length prefix.
+    assert encoded_size(big) - encoded_size(small) == 5 * (1000 + 8 + 24 + 2)
 
 
 def test_vote_is_constant_size():
     """Votes are O(1) — the crux of linear complexity."""
     vote = Vote(block_id="x" * 32, round=10 ** 9, view=10 ** 6, share=SHARE)
-    assert vote.wire_size() < 200
+    assert encoded_size(vote) < 200
 
 
 def test_certificates_are_constant_size_in_messages():
-    """A QC inside a timeout never grows with n (threshold signatures)."""
+    """A QC inside a timeout rides in fixed slots: its threshold signature
+    fits the 96-byte slot up to 27 signers."""
     timeout = FallbackTimeout(view=0, share=SHARE, qc_high=make_qc())
-    assert timeout.wire_size() < 500
+    assert encoded_size(timeout) < 500
 
 
 def test_height1_proposal_includes_ftc_bytes():
@@ -103,7 +108,7 @@ def test_height1_proposal_includes_ftc_bytes():
     fblock = FallbackBlock(qc=gqc, round=1, view=0, height=1, proposer=0)
     with_ftc = FallbackProposal(fblock=fblock, ftc=make_ftc())
     without = FallbackProposal(fblock=fblock, ftc=None)
-    assert with_ftc.wire_size() > without.wire_size()
+    assert encoded_size(with_ftc) > encoded_size(without)
 
 
 def test_type_name():

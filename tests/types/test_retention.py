@@ -23,7 +23,9 @@ from repro.types.certificates import (
     Rank,
     TimeoutCertificate,
 )
+from repro.types.messages import BlockResponse
 from repro.types.transactions import Batch, Transaction, make_transaction
+from repro.wire.codec import encoded_size
 
 from tests.types.test_certificates import make_fqc, make_qc
 
@@ -76,7 +78,8 @@ def test_memo_slots_take_no_part_in_equality():
         Block(qc=qc, round=5, view=0, batch=Batch.of([make_transaction(1)]), author=1)
         for qc in (left, right)
     )
-    assert first.wire_size() > 0  # fills the wire-size memo on one side only
+    assert encoded_size(BlockResponse(first)) > 0  # fills one side's size memo
+    assert first._encoded_size is not None and second._encoded_size is None
     assert first.id == second.id
     assert first == second and hash(first) == hash(second)
 

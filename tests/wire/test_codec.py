@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.types.messages import MESSAGE_OVERHEAD, Message, Vote
+from repro.net.network import Network, billed_size
+from repro.sim.scheduler import Scheduler
+from repro.types.messages import Message, Vote
 from repro.wire.codec import (
+    MESSAGE_OVERHEAD,
     MESSAGE_TABLE,
     DecodeError,
     EncodeError,
@@ -12,6 +15,7 @@ from repro.wire.codec import (
     encode_message,
     encoded_size,
 )
+from repro.wire.framing import FRAME_HEADER_SIZE
 
 
 # ----------------------------------------------------------------------
@@ -64,11 +68,24 @@ def test_encoding_is_deterministic(samples):
 
 def test_encoded_size_matches_actual_bytes(samples):
     for message in samples["messages"]:
-        assert encoded_size(message, sender=2) == len(encode_message(2, message))
+        assert encoded_size(message) == len(encode_message(2, message))
+
+
+def test_billed_size_is_the_framed_encoding(samples):
+    network = Network(Scheduler(seed=1))
+    for message in samples["messages"]:
+        framed = FRAME_HEADER_SIZE + len(encode_message(7, message))
+        assert billed_size(message, network) == framed, type(message).__name__
+    assert network.untyped_messages == 0
+
+
+def test_encoded_size_refuses_unknown_types():
+    with pytest.raises(EncodeError, match="no codec entry"):
+        encoded_size(object())
 
 
 def test_envelope_equals_modeled_overhead(samples):
-    # The codec envelope is exactly the modeled MESSAGE_OVERHEAD bytes.
+    # The codec envelope is exactly MESSAGE_OVERHEAD bytes.
     vote = next(m for m in samples["messages"] if isinstance(m, Vote))
     body = len(encode_message(0, vote)) - MESSAGE_OVERHEAD
     assert body > 0

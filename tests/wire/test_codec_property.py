@@ -10,6 +10,8 @@ The two invariants the transport depends on:
    cannot crash the transport with crafted payloads.
 3. The encoding is canonical: bytes that decode re-encode to exactly
    themselves, so no message has two accepted wire forms.
+4. The size the network bills a message, read off the codec table, is
+   the frame header plus the length of its encoding.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from repro.client.client import ClientReply, ClientRequest
 from repro.crypto.coin import CoinShare
 from repro.crypto.hashing import hash_fields
 from repro.crypto.threshold import ThresholdSignature, ThresholdSignatureShare
+from repro.net.network import billed_size
 from repro.types.blocks import Block, FallbackBlock
 from repro.types.certificates import (
     CoinQC,
@@ -53,6 +56,7 @@ from repro.wire.codec import (
     decode_message,
     encode_message,
 )
+from repro.wire.framing import FRAME_HEADER_SIZE
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -190,6 +194,13 @@ def test_every_table_type_is_fuzzed():
 @given(sender=senders, message=messages)
 def test_decode_encode_is_identity(sender, message):
     assert decode_message(encode_message(sender, message)) == (sender, message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sender=senders, message=messages)
+def test_billed_size_is_the_framed_encoding(sender, message):
+    framed = FRAME_HEADER_SIZE + len(encode_message(sender, message))
+    assert billed_size(message) == framed
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,8 @@ send recorded, then feeds one SHA-256 with the encoding of each recorded
 message (a multicast counts once) followed by every shared wire sample.
 The pinned digest changes only if some message encodes to different bytes,
 so any rewrite of the codec that keeps this test green keeps the wire
-format byte-identical.  Each recorded message must also round-trip.
+format byte-identical.  Each recorded message must also round-trip, and
+the size the simulator billed it must be its framed encoding.
 """
 
 from __future__ import annotations
@@ -16,12 +17,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.crypto.hashing import DIGEST_WIRE_SIZE
-from repro.crypto.signatures import SIGNATURE_WIRE_SIZE
-from repro.net.network import Network
+from repro.net.network import Network, billed_size
 from repro.net.reliable import ReliableNetwork
-from repro.types.messages import MESSAGE_OVERHEAD, FallbackProposal, Proposal
-from repro.wire.codec import DecodeError, decode_message, encode_message
+from repro.sim.scheduler import Scheduler
+from repro.types.messages import FallbackProposal, Proposal
+from repro.wire.codec import (
+    DIGEST_WIRE_SIZE,
+    MESSAGE_OVERHEAD,
+    SIGNATURE_WIRE_SIZE,
+    DecodeError,
+    decode_message,
+    encode_message,
+)
+from repro.wire.framing import FRAME_HEADER_SIZE
 
 _BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 if str(_BENCHMARKS) not in sys.path:
@@ -36,6 +44,16 @@ SCENARIOS = ("fallback-n4", "lossy20-n4", "steady-n4", "steady-n16")
 #: scenarios send other messages (a protocol change, with ``repro.wire``
 #: untouched and the same message count).
 FENCE_DIGEST = "4cf83bb1b5b317602dc46fc8934c01f061395409d3fd48531d25e274c2dc74fa"
+
+
+@pytest.fixture(scope="module")
+def sent() -> list[tuple[int, object]]:
+    """Every wire send of the four scenarios at seed 1, each kept once."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sent = _record_sends(monkeypatch)
+        for name in SCENARIOS:
+            run_scenario(name, seed=1)
+    return sent
 
 
 def _record_sends(monkeypatch) -> list[tuple[int, object]]:
@@ -61,11 +79,7 @@ def _record_sends(monkeypatch) -> list[tuple[int, object]]:
     return sent
 
 
-def test_encoded_bytes_match_the_pinned_digest(monkeypatch, samples):
-    sent = _record_sends(monkeypatch)
-    for name in SCENARIOS:
-        run_scenario(name, seed=1)
-    monkeypatch.undo()
+def test_encoded_bytes_match_the_pinned_digest(sent, samples):
     digest = hashlib.sha256()
     for sender, message in sent:
         data = encode_message(sender, message)
@@ -75,6 +89,14 @@ def test_encoded_bytes_match_the_pinned_digest(monkeypatch, samples):
         digest.update(encode_message(7, message))
     assert len(sent) > 10_000
     assert digest.hexdigest() == FENCE_DIGEST
+
+
+def test_billed_size_is_the_framed_encoding_of_every_fence_message(sent):
+    network = Network(Scheduler(seed=1))
+    for sender, message in sent:
+        framed = FRAME_HEADER_SIZE + len(encode_message(sender, message))
+        assert billed_size(message, network) == framed, type(message).__name__
+    assert network.untyped_messages == 0
 
 
 def _presence_flag_offsets(samples) -> list[tuple[bytes, int]]:
