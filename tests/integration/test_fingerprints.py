@@ -25,13 +25,13 @@ from bench_simcore import run_scenario  # noqa: E402
 
 #: Scenario -> fingerprint at seed 1, as last recorded in BENCH_simcore.json.
 FINGERPRINTS = {
-    "fallback-n4": "46da7df7f425ea94a5b2b686ab2552c6",
-    "lossy20-n4": "5db6410f6c6c34fcd8cb5cce1aa211f4",
-    "steady-n4": "fa438d284730ea09a10940de06533656",
-    "steady-n16": "bed9ae10fa01b118ebe94dfacee9f0a7",
-    "fallback-n64": "75beebb7803800c8f070471bf359e2a8",
-    "steady-n64": "49f2b75685a1921022b4c2b33f6e0739",
-    "steady-n256": "379a718d00304a17b24045d93579b433",
+    "fallback-n4": "77d4e90d89a97c4d8f8a435c8a2f8717",
+    "lossy20-n4": "462b5b7a679ee3f76d54c9c9a6efa967",
+    "steady-n4": "173e7e636bb2cd1e36f5f1a4534654a5",
+    "steady-n16": "94afe853c45ff182ebf9b18ce4cdfd5b",
+    "fallback-n64": "2f6216abec2b0adbcf0a972e6481be69",
+    "steady-n64": "da3832fa81673fc0e057d17043d1b04a",
+    "steady-n256": "10b8900c05c240dcf29b5db3ec50ea4f",
 }
 
 SCALE = {"fallback-n64", "steady-n64", "steady-n256"}
